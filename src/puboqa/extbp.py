@@ -21,6 +21,7 @@ r_i_l train-major, least significant first.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +63,13 @@ class EbpInstance:
     trains: tuple[Train, ...]
 
     def __post_init__(self):
-        if not isinstance(self.cmax, int) or self.cmax < 1:
+        if isinstance(self.cmax, bool) or not isinstance(self.cmax, int) or self.cmax < 1:
             raise ValueError(f"cmax must be a positive int, got {self.cmax!r}")
         if self.num_groups < 0:
             raise ValueError("num_groups must be non-negative")
         for i, t in enumerate(self.trains):
+            if not (math.isfinite(t.cost) and math.isfinite(t.benefit)):
+                raise ValueError(f"train {i} has a non-finite cost or benefit")
             if t.cost < 0 or t.benefit < 0:
                 raise ValueError(f"train {i} has negative cost or benefit")
             if list(t.groups) != sorted(set(t.groups)):
@@ -104,14 +107,36 @@ class EbpInstance:
 
     @classmethod
     def from_obj(cls, obj: dict) -> EbpInstance:
+        """Parse the to_obj form; values of the wrong kind are refused, not coerced."""
         try:
             trains = tuple(
-                Train(float(t["cost"]), float(t["benefit"]), tuple(int(g) for g in t["groups"]))
+                Train(
+                    _number(t["cost"], "cost"),
+                    _number(t["benefit"], "benefit"),
+                    tuple(_whole(g, "group id") for g in t["groups"]),
+                )
                 for t in obj["trains"]
             )
-            return cls(str(obj["name"]), int(obj["num_groups"]), int(obj["cmax"]), trains)
+            return cls(str(obj["name"]), _whole(obj["num_groups"], "num_groups"),
+                       _whole(obj["cmax"], "cmax"), trains)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance object: {exc}") from exc
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as float; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(value, what: str) -> int:
+    """An integer-valued JSON number as int; booleans and fractions are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ does a single run and prints the outcome.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -24,6 +26,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .extbp import (
     Classification,
@@ -77,6 +81,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         bad = set(self.formulations) - {"pubo", "qubo"}
         if bad or not self.formulations:
             raise ValueError(f"formulations must be a nonempty subset of pubo/qubo, got {self.formulations}")
@@ -124,12 +130,42 @@ def load_instance(ref: str) -> EbpInstance:
 
 # experiment ------------------------------------------------------------------
 
-_POOL_CTX: dict = {}
+# Set in each pool worker by _pool_init; the parent process never reads it.
+_WORKER_CTX: dict = {}
+
+
+def _pool_init(table: CostTable, qcfg: QaoaConfig) -> None:
+    """Worker start-up: keep the cell's table and config, pin BLAS to one thread.
+
+    The arguments reach the worker through the pool's initargs, so this works
+    under every multiprocessing start method.
+    """
+    _WORKER_CTX["table"] = table
+    _WORKER_CTX["config"] = qcfg
+    _single_thread_blas()
+
+
+def _single_thread_blas() -> None:
+    """Limit numpy's bundled OpenBLAS to one thread; no-op if it is not found.
+
+    The pool already runs one worker per requested thread; BLAS threads
+    inside a worker would contend with the other workers for the same cores.
+    """
+    libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                setter(1)
+                return
 
 
 def _pool_run(job: tuple[int, int]):
     index, seed = job
-    record = run(_POOL_CTX["table"], _POOL_CTX["config"], seed)
+    record = run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
     return index, record
 
 
@@ -137,10 +173,9 @@ def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads:
     """All runs of one cell, in run-index order regardless of scheduling."""
     if threads <= 1 or len(seeds) == 1:
         return [run(table, qcfg, s) for s in seeds]
-    global _POOL_CTX
-    _POOL_CTX = {"table": table, "config": qcfg}
     chunk = max(1, len(seeds) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
+                             initargs=(table, qcfg)) as pool:
         results = list(pool.map(_pool_run, enumerate(seeds), chunksize=chunk))
     results.sort(key=lambda pair: pair[0])
     return [rec for _, rec in results]
@@ -310,11 +345,15 @@ def _qaoa_config(args) -> QaoaConfig:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get(THREADS_ENV_VAR)
+        if not env:
+            return os.cpu_count() or 1
+        threads, source = int(env), THREADS_ENV_VAR
+    if threads < 1:
+        raise ValueError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _formulations(arg: str) -> tuple[str, ...]:

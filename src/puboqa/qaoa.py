@@ -1,10 +1,12 @@
 """Depth-p QAOA on a dense simulated statevector, with shot-based training.
 
-The cost operator is diagonal, so it is applied as per-amplitude phases from
-a precomputed table of polynomial values rather than as gates. The mixer is
-the product of single-qubit rotations [[cos b, -i sin b], [-i sin b, cos b]];
-it is applied two qubits per pass through a 4x4 kernel with explicit
-double-buffering, which is the dominant cost at high qubit counts.
+The cost operator is diagonal, so it is applied as per-amplitude phases: the
+phase of each distinct table value is computed once and gathered through the
+table's inverse index. The mixer is the product of single-qubit rotations
+[[cos b, -i sin b], [-i sin b, cos b]]; it is fused into blocks of four
+qubits, each applied as one 16x16 matrix product between two statevector
+buffers (the topmost block covers the n mod 4 qubits left over). The mixer
+is the dominant cost at high qubit counts.
 
 Training follows the shot protocol: every optimizer evaluation prepares the
 state for the current parameters, samples a handful of basis states, and
@@ -142,13 +144,24 @@ def bits_string(state: int, num_qubits: int) -> str:
     return "".join("1" if (state >> k) & 1 else "0" for k in range(num_qubits))
 
 
+# The mixer is applied this many qubits at a time, as one 16x16 product.
+_BLOCK_QUBITS = 4
+# Rows per product in the lowest block: one product over the whole register
+# makes OpenBLAS grow its per-thread buffers with the operand.
+_ROW_CHUNK = 4096
+# Hamming distance popcount(i ^ j) between the basis states of one block.
+_HAMMING = np.array(
+    [[bin(i ^ j).count("1") for j in range(1 << _BLOCK_QUBITS)] for i in range(1 << _BLOCK_QUBITS)]
+)
+
+
 def evolve(params, table: CostTable, check_norm: bool = False) -> np.ndarray:
     """Prepare the depth-p QAOA state for params = (g_1..g_p, b_1..b_p).
 
     Starts from the uniform superposition; each layer multiplies amplitude z
     by exp(-i g values[z]) and then applies the mixer rotation to every
-    qubit. Returns the complex statevector. With check_norm the squared norm
-    is verified to 1e-9 after each operator.
+    qubit. Returns a freshly allocated complex statevector. With check_norm
+    the squared norm is verified to 1e-9 after each operator.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or len(params) % 2 != 0:
@@ -159,19 +172,28 @@ def evolve(params, table: CostTable, check_norm: bool = False) -> np.ndarray:
     n = table.num_qubits
     size = 1 << n
     uniq, inv = table._phase_basis()
-    amp0 = 2.0 ** (-n / 2)
 
-    psi = np.full(size, amp0, dtype=np.complex128)
-    work = np.empty_like(psi)
+    # Every mixer pass swaps the two buffers; start in the one that the last
+    # pass leaves the state in, so the result is the buffer allocated first.
+    passes = depth * -(-n // _BLOCK_QUBITS)
+    first = np.empty(size, dtype=np.complex128)
+    second = np.empty_like(first)
+    if passes % 2 == 0:
+        psi, work = first, second
+    else:
+        psi, work = second, first
     for layer in range(depth):
         gamma = params[layer]
         beta = params[depth + layer]
         phase = np.exp(-1j * gamma * uniq)
+        # The inverse index comes from np.unique, so it is always in range;
+        # mode="clip" lets np.take write straight into out.
         if layer == 0:
-            np.take(phase, inv, out=psi)
-            psi *= amp0
+            phase *= 2.0 ** (-n / 2)
+            np.take(phase, inv, out=psi, mode="clip")
         else:
-            psi *= phase[inv]
+            np.take(phase, inv, out=work, mode="clip")
+            psi *= work
         if check_norm:
             _check_norm(psi)
         psi, work = _apply_mixer(psi, work, beta, n)
@@ -180,20 +202,41 @@ def evolve(params, table: CostTable, check_norm: bool = False) -> np.ndarray:
     return psi
 
 
+def _block_matrix(beta: float, k: int) -> np.ndarray:
+    """The k-fold Kronecker power of the one-qubit mixer rotation.
+
+    Entry (i, j) is cos(b)^(k-h) (-i sin b)^h with h = popcount(i ^ j); the
+    matrix is symmetric.
+    """
+    h = np.arange(k + 1)
+    w = np.cos(beta) ** (k - h) * (-1j * np.sin(beta)) ** h
+    return w[_HAMMING[: 1 << k, : 1 << k]]
+
+
 def _apply_mixer(psi: np.ndarray, work: np.ndarray, beta: float, n: int):
-    """One mixer layer; returns (state, scratch) with roles possibly swapped."""
-    c = np.cos(beta)
-    s = np.sin(beta)
-    m1 = np.array([[c, -1j * s], [-1j * s, c]])
-    m2 = np.kron(m1, m1)
-    k = 0
-    while k + 1 < n:
-        np.matmul(m2, psi.reshape(-1, 4, 1 << k), out=work.reshape(-1, 4, 1 << k))
+    """Apply exp(-i b X) to every qubit; returns (state, scratch).
+
+    Qubits are taken in blocks of four from qubit 0 up, the last block
+    holding the n mod 4 leftovers. Each block is one pass from psi into
+    work, after which the two swap roles. The lowest block is a row product
+    (-1, 2^k) @ M in chunks of _ROW_CHUNK rows; a block starting at qubit q
+    is a batched M @ (-1, 2^k, 2^q) product.
+    """
+    low = 0
+    while low < n:
+        k = min(_BLOCK_QUBITS, n - low)
+        block = _block_matrix(beta, k)
+        if low == 0:
+            src = psi.reshape(-1, 1 << k)
+            dst = work.reshape(-1, 1 << k)
+            for row in range(0, len(src), _ROW_CHUNK):
+                rows = slice(row, row + _ROW_CHUNK)
+                np.matmul(src[rows], block, out=dst[rows])
+        else:
+            shape = (-1, 1 << k, 1 << low)
+            np.matmul(block, psi.reshape(shape), out=work.reshape(shape))
         psi, work = work, psi
-        k += 2
-    if k < n:
-        np.matmul(m1, psi.reshape(-1, 2, 1 << k), out=work.reshape(-1, 2, 1 << k))
-        psi, work = work, psi
+        low += k
     return psi, work
 
 

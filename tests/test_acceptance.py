@@ -7,6 +7,7 @@ runs the full 600-run benchmark and dominates the suite's wall time.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import time
@@ -15,7 +16,13 @@ from dataclasses import asdict
 import numpy as np
 
 from puboqa.extbp import brute_force, builtin_instance, default_lambda, encode, to_pubo
-from puboqa.harness import THREADS_ENV_VAR, ExperimentConfig, run_experiment
+from puboqa.harness import (
+    CSV_COLUMNS,
+    THREADS_ENV_VAR,
+    ExperimentConfig,
+    run_experiment,
+    write_rows_csv,
+)
 from puboqa.model import canonicalize
 from puboqa.pbf import Polynomial
 from puboqa.qaoa import QaoaConfig, build_cost_table, evolve, run
@@ -237,16 +244,35 @@ def test_criterion_6_quadratization():
     )
 
 
-def test_criterion_7_formulation_comparison():
+# sha256 of the 600-run CSV (master seed 0, 100 runs per cell) with the
+# wall_ms column removed, recorded with the earlier two-qubit-pass mixer
+# kernel. A kernel change that flips a single sampled index changes it.
+GOLDEN_CSV_SHA256 = "3120bc84e5fb517231769bda8b69c708fa776d7a736c1af52017f187773e238f"
+
+
+def _csv_digest(path) -> str:
+    """sha256 of an experiment CSV with its wall_ms column removed."""
+    wall = CSV_COLUMNS.index("wall_ms")
+    kept = [",".join(cell for i, cell in enumerate(line.split(",")) if i != wall)
+            for line in path.read_text(encoding="utf-8").splitlines()]
+    return hashlib.sha256(("\n".join(kept) + "\n").encode("utf-8")).hexdigest()
+
+
+def test_criterion_7_formulation_comparison(tmp_path):
     env = os.environ.get(THREADS_ENV_VAR)
     threads = int(env) if env else (os.cpu_count() or 1)
     cfg = ExperimentConfig(master_seed=0, runs=100, threads=threads)
     started = time.perf_counter()
-    _, summaries = run_experiment(cfg, progress=lambda msg: print(f"    {msg}"))
+    rows, summaries = run_experiment(cfg, progress=lambda msg: print(f"    {msg}"))
     elapsed = time.perf_counter() - started
+    write_rows_csv(rows, tmp_path / "comparison.csv")
+    digest = _csv_digest(tmp_path / "comparison.csv")
+    print(f"    CSV digest without wall_ms: {digest}")
 
     cell = {(s.instance, s.formulation): s for s in summaries}
     issues = []
+    if digest != GOLDEN_CSV_SHA256:
+        issues.append(f"CSV digest {digest} differs from the golden {GOLDEN_CSV_SHA256}")
     pieces = []
     for name in "ABC":
         pubo, qubo = cell[(name, "pubo")], cell[(name, "qubo")]

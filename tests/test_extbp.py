@@ -77,6 +77,41 @@ class TestInstances:
         with pytest.raises(ValueError, match=msg):
             EbpInstance(**base)
 
+    @pytest.mark.parametrize(
+        "field,value,msg",
+        [
+            ("cost", float("nan"), "non-finite"),
+            ("cost", float("inf"), "non-finite"),
+            ("benefit", float("nan"), "non-finite"),
+            ("benefit", float("-inf"), "non-finite"),
+            ("cost", True, "number"),
+            ("cost", "1", "number"),
+            ("cmax", 2.7, "cmax must be an integer"),
+            ("cmax", True, "cmax must be an integer"),
+            ("num_groups", 2.5, "num_groups must be an integer"),
+            ("num_groups", False, "num_groups must be an integer"),
+            ("group", 0.9, "group id must be an integer"),
+            ("group", True, "group id must be an integer"),
+        ],
+    )
+    def test_from_obj_refuses_coercion(self, field, value, msg):
+        obj = {"name": "X", "num_groups": 2, "cmax": 2,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": [0]}]}
+        if field in ("cost", "benefit"):
+            obj["trains"][0][field] = value
+        elif field == "group":
+            obj["trains"][0]["groups"] = [value]
+        else:
+            obj[field] = value
+        with pytest.raises(ValueError, match=msg):
+            EbpInstance.from_obj(obj)
+
+    def test_from_obj_accepts_integral_floats(self):
+        obj = builtin_instance("A").to_obj()
+        obj["cmax"] = 2.0
+        obj["trains"][0]["groups"] = [0.0]
+        assert EbpInstance.from_obj(obj) == builtin_instance("A")
+
 
 class TestFeasibilityAndObjective:
     def setup_method(self):

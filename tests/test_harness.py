@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import puboqa
 
 from puboqa.extbp import builtin_instance, to_pubo
 from puboqa.harness import (
@@ -113,8 +120,47 @@ class TestRunExperiment:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="runs"):
             ExperimentConfig(runs=0)
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(threads=0)
         with pytest.raises(ValueError, match="formulations"):
             ExperimentConfig(formulations=("ising",))
+
+
+_POOL_SCRIPT = """
+import json
+import multiprocessing
+import sys
+
+from puboqa.harness import ExperimentConfig, run_experiment
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    cfg = ExperimentConfig(instances=("A",), formulations=("pubo",), runs=4, threads=2)
+    rows, _ = run_experiment(cfg)
+    print(json.dumps([{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]))
+"""
+
+
+class TestPoolStartMethods:
+    """Pool workers get their state through the initializer, not fork inheritance."""
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_matches_serial(self, tmp_path, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} unavailable on this platform")
+        script = tmp_path / "pool_rows.py"
+        script.write_text(_POOL_SCRIPT)
+        src = str(Path(puboqa.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, str(script), method], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        pooled = json.loads(done.stdout)
+
+        serial, _ = run_experiment(ExperimentConfig(instances=("A",), formulations=("pubo",),
+                                                    runs=4, threads=1))
+        assert pooled == [{k: v for k, v in row.items() if k != "wall_ms"} for row in serial]
 
 
 class TestFileOutputs:
@@ -209,6 +255,24 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("cmax", 2.7), ("cmax", True), ("group", 0.9), ("cost", float("nan"))],
+        ids=["cmax-fraction", "cmax-bool", "group-fraction", "cost-nan"],
+    )
+    def test_bad_instance_file_exits_2(self, tmp_path, capsys, field, value):
+        obj = builtin_instance("A").to_obj()
+        if field == "group":
+            obj["trains"][0]["groups"] = [value]
+        elif field == "cost":
+            obj["trains"][0]["cost"] = value
+        else:
+            obj[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", "--instance", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_solve_prints_classification(self, capsys):
         code = main([
             "solve", "--instance", "A", "--seed", "0",
@@ -263,6 +327,19 @@ class TestThreadResolution:
         monkeypatch.setenv("PUBOQA_THREADS", "3")
         assert _resolve_threads(self.parse()) == 3
 
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.delenv("PUBOQA_THREADS", raising=False)
-        assert _resolve_threads(self.parse(["--threads", "0"])) == 1
+    @pytest.mark.parametrize(
+        "flag,env",
+        [("0", None), ("-1", None), (None, "0"), (None, "-3")],
+        ids=["flag-0", "flag-neg", "env-0", "env-neg"],
+    )
+    def test_below_one_rejected(self, monkeypatch, capsys, tmp_path, flag, env):
+        if env is None:
+            monkeypatch.delenv("PUBOQA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PUBOQA_THREADS", env)
+        extra = ["--threads", flag] if flag is not None else []
+        with pytest.raises(ValueError, match="PUBOQA_THREADS|--threads"):
+            _resolve_threads(self.parse(extra))
+        argv = ["experiment", "--instance", "A", "--runs", "1", "--out", str(tmp_path / "x"), *extra]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err

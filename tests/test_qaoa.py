@@ -14,6 +14,7 @@ from puboqa.qaoa import (
     QUBIT_CAP,
     CostTable,
     QaoaConfig,
+    _block_matrix,
     bits_string,
     build_cost_table,
     estimate_loss,
@@ -87,8 +88,18 @@ class TestBitsString:
             assert int(s[::-1], 2) == z
 
 
+def rotation(beta):
+    c, s = np.cos(beta), np.sin(beta)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
 def dense_evolve(params, values):
-    """Reference implementation with explicit operator matrices."""
+    """Reference implementation: the phase as a diagonal, the mixer qubit by qubit.
+
+    Up to 8 qubits the mixer is the explicit 2^n x 2^n Kronecker product;
+    above that each 2x2 rotation is applied on its own axis of the tensor,
+    which is the same operator without the matrix's memory.
+    """
     params = np.asarray(params, dtype=float)
     depth = len(params) // 2
     n = int(np.log2(len(values)))
@@ -96,10 +107,13 @@ def dense_evolve(params, values):
     for layer in range(depth):
         gamma, beta = params[layer], params[depth + layer]
         psi = np.exp(-1j * gamma * values) * psi
-        c, s = np.cos(beta), np.sin(beta)
-        m1 = np.array([[c, -1j * s], [-1j * s, c]])
-        mixer = reduce(np.kron, [m1] * n)
-        psi = mixer @ psi
+        m1 = rotation(beta)
+        if n <= 8:
+            psi = reduce(np.kron, [m1] * n) @ psi
+            continue
+        for q in range(n):
+            view = psi.reshape(-1, 2, 1 << q)
+            psi = np.einsum("ij,ajb->aib", m1, view).reshape(-1)
     return psi
 
 
@@ -121,7 +135,9 @@ class TestEvolve:
         want = 2.0 ** (-1.5) * np.exp(-1j * gamma * table.values)
         assert np.array_equal(psi, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    # n = 1..13 covers every n mod 4, so full and partial top blocks; at
+    # n = 17 the lowest block has 8192 rows, two of its 4096-row chunks.
+    @pytest.mark.parametrize("n", [*range(1, 14), 17])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_against_dense_operators(self, n, depth):
         table = self.table(n)
@@ -129,9 +145,25 @@ class TestEvolve:
         params = np.concatenate(
             [rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)]
         )
-        got = evolve(params, table)
+        got = evolve(params, table, check_norm=True)
         want = dense_evolve(params, table.values)
         assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 1.1, 2.9])
+    def test_block_matrix_is_kron_power(self, k, beta):
+        want = reduce(np.kron, [rotation(beta)] * k)
+        got = _block_matrix(beta, k)
+        assert got.shape == (1 << k, 1 << k)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_calls_return_distinct_arrays(self):
+        table = self.table(9)
+        first = evolve([0.4, 1.2, 0.9, 0.3], table)
+        kept = first.copy()
+        second = evolve([1.7, 0.2, 0.5, 2.1], table)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_norm_preserved(self, n):

@@ -39,7 +39,7 @@ from .reformulate import (
 )
 
 BRUTE_FORCE_CAP = 30
-_CHUNK = 1 << 18
+_CHUNK_BITS = 18
 
 
 class Classification(enum.Enum):
@@ -203,49 +203,78 @@ def _check_shape(inst: EbpInstance, a: EbpAssignment) -> None:
 def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     """Exhaustive scan of all assignment bit patterns.
 
-    Returns the optimal value and every assignment attaining it (the all-zero
-    assignment is always feasible, so an optimum exists). Evaluation is
-    vectorized in chunks; the result does not depend on chunking.
+    Returns the optimal value and every assignment within 1e-9 of it (the
+    all-zero assignment is always feasible, so an optimum exists). The low
+    _CHUNK_BITS bits are tabulated once by doubling: the objective, and for
+    each constraint its slack (limit minus load). Each pattern of the high
+    bits is then one chunk: its objective adds the high weights to the low
+    table one at a time, and a state is feasible when every slack covers the
+    load the high bits add. Weights are summed in bit order, as a sequential
+    sum over the assignment would, and the optimum and the optimal set are
+    taken over the whole scan, so the result does not depend on chunking.
     """
-    n, q = inst.num_trains, inst.num_y
-    total_bits = n + q
+    pairs = inst.y_pairs
+    n = inst.num_trains
+    total_bits = n + len(pairs)
     if total_bits > BRUTE_FORCE_CAP:
         raise ValueError(f"{total_bits} bits exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    pairs = inst.y_pairs
+    weights = [t.cost for t in inst.trains] + [-inst.trains[i].benefit for i, _ in pairs]
+    # One row per constraint that some assignment can violate: what each bit
+    # adds to its load, against its limit. A group with two or more eligible
+    # trains has limit 1; a train with groups has limit 0, and x_i takes off
+    # its capacity, clamped to its group count so every slack fits in int8.
+    by_group: list[list[int]] = [[] for _ in range(inst.num_groups)]
+    by_train: list[list[int]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        by_group[j].append(n + k)
+        by_train[i].append(n + k)
+    rows = [(None, bits) for bits in by_group if len(bits) > 1]
+    rows += [(i, bits) for i, bits in enumerate(by_train) if bits]
+    flat: list[int] = []
+    limit: list[int] = []
+    for i, bits in rows:
+        row = [0] * total_bits
+        for b in bits:
+            row[b] = 1
+        if i is not None:
+            row[i] = -min(inst.cmax, len(bits))
+        flat += row
+        limit.append(1 if i is None else 0)
+    load = np.array(flat, dtype=np.int8).reshape(len(rows), total_bits)
+
+    low_bits = min(total_bits, _CHUNK_BITS)
+    low = np.zeros(1 << low_bits)
+    slack = np.empty((len(rows), 1 << low_bits), dtype=np.int8)
+    slack[:, 0] = limit
+    for k in range(low_bits):
+        np.add(low[: 1 << k], weights[k], out=low[1 << k : 2 << k])
+        np.subtract(slack[:, : 1 << k], load[:, k, None], out=slack[:, 1 << k : 2 << k])
+    high_bits = total_bits - low_bits
+    most = slack.max(axis=1, keepdims=True) if high_bits else None
+
     best = np.inf
-    best_idx: list[int] = []
-    for lo in range(0, 1 << total_bits, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << total_bits)
-        z = np.arange(lo, hi, dtype=np.int64)
-        xbit = [(z >> i) & 1 for i in range(n)]
-        ybit = [(z >> (n + k)) & 1 for k in range(q)]
-        obj = np.zeros(len(z))
-        for i, t in enumerate(inst.trains):
-            obj += t.cost * xbit[i]
-        for k, (i, _) in enumerate(pairs):
-            obj -= inst.trains[i].benefit * ybit[k]
-        feas = np.ones(len(z), dtype=bool)
-        for j in range(inst.num_groups):
-            onboard = sum(ybit[k] for k, (_, jj) in enumerate(pairs) if jj == j)
-            if not isinstance(onboard, int):
-                feas &= onboard <= 1
-        for i in range(n):
-            carried = sum(ybit[k] for k, (ii, _) in enumerate(pairs) if ii == i)
-            if not isinstance(carried, int):
-                feas &= carried <= inst.cmax * xbit[i]
-        vals = np.where(feas, obj, np.inf)
-        chunk_min = vals.min()
-        if chunk_min < best - 1e-9:
-            best = float(chunk_min)
-            best_idx = [int(v) for v in z[np.abs(vals - best) <= 1e-9]]
-        elif abs(chunk_min - best) <= 1e-9:
-            best_idx.extend(int(v) for v in z[np.abs(vals - best) <= 1e-9])
-    optima = tuple(_decode_index(inst, idx) for idx in sorted(best_idx))
+    found: list[tuple[np.ndarray, np.ndarray]] = []
+    for high in range(1 << high_bits):
+        set_bits = [low_bits + b for b in range(high_bits) if high >> b & 1]
+        need = 0
+        if set_bits:
+            need = load[:, set_bits].sum(axis=1, keepdims=True, dtype=np.int8)
+            if (need > most).any():
+                continue  # some constraint fails whatever the low bits are
+        obj = low.copy()
+        for b in set_bits:
+            obj += weights[b]
+        obj[(slack < need).any(axis=0)] = np.inf
+        best = min(best, float(obj.min()))
+        near = np.flatnonzero(obj - best <= 1e-9)
+        found.append((near + (high << low_bits), obj[near]))
+    # Chunks run in index order, so the candidates are already sorted.
+    index, value = (np.concatenate(parts) for parts in zip(*found))
+    optima = tuple(_decode_index(n, len(pairs), z) for z in index[value - best <= 1e-9].tolist())
     return best, optima
 
 
-def _decode_index(inst: EbpInstance, z: int) -> EbpAssignment:
-    n, q = inst.num_trains, inst.num_y
+def _decode_index(n: int, q: int, z: int) -> EbpAssignment:
     x = tuple((z >> i) & 1 for i in range(n))
     y = tuple((z >> (n + k)) & 1 for k in range(q))
     return EbpAssignment(x, y)

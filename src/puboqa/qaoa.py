@@ -29,6 +29,8 @@ from scipy.optimize import minimize
 from .pbf import Polynomial
 
 QUBIT_CAP = 26
+# The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
+_TABLE_BLOCK_QUBITS = 16
 
 
 class CostTable:
@@ -66,9 +68,13 @@ class CostTable:
 def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     """Evaluate a polynomial on all 2^n basis states.
 
-    Accumulates one monomial at a time into the sub-hypercube where all of
-    its variables are 1, in sorted monomial order, so the result is
-    deterministic and exact for integer coefficients.
+    Each monomial's coefficient is written at its bitmask index (the constant
+    at index 0), then one subset-sum pass per qubit turns entry z into the sum
+    of c_S over all monomials S within z. The passes over the low qubits run
+    block by block, so each block stays in cache. The table is exact when
+    every partial sum is representable, as with integer and dyadic
+    coefficients of moderate size; otherwise it equals pointwise evaluation
+    up to rounding.
     """
     if num_qubits > QUBIT_CAP:
         raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit table cap")
@@ -77,20 +83,31 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
         raise ValueError(
             f"polynomial uses variable {vars_used[-1]} outside [0, {num_qubits})"
         )
+    terms = poly.terms
     values = np.zeros(1 << num_qubits)
-    if num_qubits == 0:
-        values[0] = poly.constant_term
-        return CostTable(0, values)
-    cube = values.reshape((2,) * num_qubits)
-    for mono, coeff in sorted(poly.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        if not mono:
-            values += coeff
-            continue
-        index: list = [slice(None)] * num_qubits
-        for v in mono:
-            index[num_qubits - 1 - v] = 1
-        cube[tuple(index)] += coeff
+    masks = np.fromiter((sum(1 << v for v in mono) for mono in terms), np.int64, len(terms))
+    values[masks] = np.fromiter(terms.values(), np.float64, len(terms))
+    low = min(num_qubits, _TABLE_BLOCK_QUBITS)
+    for block in values.reshape(-1, 1 << low):
+        _subset_sum_passes(block, range(low))
+    _subset_sum_passes(values, range(low, num_qubits))
     return CostTable(num_qubits, values)
+
+
+def _subset_sum_passes(values: np.ndarray, qubits: range) -> None:
+    """In place, add each entry with bit k clear onto its partner with bit k set.
+
+    For k < 3 the pairs are 2^k apart within rows of 2^(k+1) entries, and
+    one strided add per offset in the row beats numpy's short inner loops.
+    """
+    for k in qubits:
+        if k < 3:
+            rows = values.reshape(-1, 2 << k)
+            for j in range(1 << k):
+                rows[:, (1 << k) + j] += rows[:, j]
+        else:
+            pairs = values.reshape(-1, 2, 1 << k)
+            pairs[:, 1] += pairs[:, 0]
 
 
 @dataclass(frozen=True)

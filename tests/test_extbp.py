@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from puboqa import extbp
 
 from puboqa.extbp import (
     Classification,
@@ -27,6 +32,34 @@ from puboqa.pbf import Polynomial
 
 def bits_of(z, width):
     return tuple((z >> k) & 1 for k in range(width))
+
+
+def exhaustive_optimum(inst):
+    """Minimum and sorted optimal set by is_feasible/objective_value on every pattern."""
+    n, q = inst.num_trains, inst.num_y
+    seen = []
+    for z in range(1 << (n + q)):
+        a = EbpAssignment(bits_of(z, n), bits_of(z >> n, q))
+        if is_feasible(inst, a):
+            seen.append((objective_value(inst, a), a))
+    best = min(v for v, _ in seen)
+    return best, tuple(a for v, a in seen if v - best <= 1e-9)
+
+
+@st.composite
+def small_instances(draw, max_bits=12):
+    """Random instances of at most max_bits assignment bits."""
+    num_groups = draw(st.integers(1, 6))
+    num_trains = draw(st.integers(1, 4))
+    money = st.one_of(st.integers(0, 8).map(lambda v: v / 2), st.floats(0, 10))
+    budget = max_bits - num_trains
+    trains = []
+    for _ in range(num_trains):
+        groups = draw(st.sets(st.integers(0, num_groups - 1), max_size=min(num_groups, budget)))
+        budget -= len(groups)
+        trains.append(Train(draw(money), draw(money), tuple(sorted(groups))))
+    cmax = draw(st.sampled_from([1, 2, 3, 10**6]))
+    return EbpInstance("drawn", num_groups, cmax, tuple(trains))
 
 
 class TestInstances:
@@ -188,6 +221,39 @@ class TestBruteForce:
         inst = EbpInstance("big", 16, 2, trains)
         with pytest.raises(ValueError, match="cap"):
             brute_force(inst)
+
+    @settings(deadline=None, max_examples=30)
+    @given(small_instances())
+    def test_matches_exhaustive_scan(self, inst):
+        best, optima = brute_force(inst)
+        want, want_optima = exhaustive_optimum(inst)
+        assert best == want
+        assert optima == want_optima
+
+    @settings(deadline=None, max_examples=40)
+    @given(small_instances())
+    def test_chunking_does_not_change_the_result(self, inst):
+        whole = brute_force(inst)
+        with mock.patch.object(extbp, "_CHUNK_BITS", 3):
+            assert brute_force(inst) == whole
+
+    def test_huge_cmax_does_not_overflow(self):
+        trains = (Train(1.0, 1.0, (0, 1, 2, 3, 4)), Train(0.5, 1.0, (0, 1)))
+        inst = EbpInstance("roomy", 5, 10**6, trains)
+        best, optima = brute_force(inst)
+        assert (best, optima) == exhaustive_optimum(inst)
+        assert best == -4.0
+
+    def test_optimum_below_tolerance_in_a_later_chunk(self):
+        # 21 bits, so the state worth -5e-10 lies beyond the first chunk of 2^18.
+        trains = tuple(Train(1.0, 0.0, (g,)) for g in range(9)) + (Train(1.0, 0.50000000025, (9, 10)),)
+        inst = EbpInstance("edge", 11, 2, trains)
+        lowest = EbpAssignment((0,) * 9 + (1,), (0,) * 9 + (1, 1))
+        best, optima = brute_force(inst)
+        assert best == objective_value(inst, lowest) == pytest.approx(-5.0e-10, abs=1e-15)
+        assert optima == (EbpAssignment((0,) * 10, (0,) * 11), lowest)
+        with mock.patch.object(extbp, "_CHUNK_BITS", 21):
+            assert brute_force(inst) == (best, optima)
 
 
 class TestObjectivePolynomial:

@@ -7,9 +7,11 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from puboqa.extbp import builtin_instance, to_pubo
-from puboqa.pbf import Polynomial
+from puboqa.pbf import COEFF_EPS, Polynomial
 from puboqa.qaoa import (
     QUBIT_CAP,
     CostTable,
@@ -27,7 +29,67 @@ from puboqa.qaoa import (
 V = Polynomial.variable
 
 
+def accumulate_per_monomial(poly, n):
+    """Reference table: one strided add per monomial over the sub-hypercube
+    where all of its variables are 1, in (degree, variables) order."""
+    values = np.zeros(1 << n)
+    if n == 0:
+        values[0] = poly.constant_term
+        return values
+    cube = values.reshape((2,) * n)
+    for mono, coeff in sorted(poly.terms.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        if not mono:
+            values += coeff
+            continue
+        index: list = [slice(None)] * n
+        for v in mono:
+            index[n - 1 - v] = 1
+        cube[tuple(index)] += coeff
+    return values
+
+
+@st.composite
+def sized_polys(draw, coeffs, max_qubits):
+    """(n, polynomial over variables < n) with monomials of every degree."""
+    n = draw(st.integers(0, max_qubits))
+    mono = st.frozensets(st.integers(0, max(n - 1, 0)), max_size=n) if n else st.just(frozenset())
+    terms = draw(st.lists(st.tuples(mono, coeffs), max_size=40))
+    return n, Polynomial.from_terms((tuple(m), c) for m, c in terms)
+
+
+DYADIC = st.one_of(
+    st.integers(-1000, 1000).map(float),
+    st.integers(-(1 << 20), 1 << 20).map(lambda c: c / 64),
+)
+ANY_FLOAT = st.floats(-100, 100, allow_nan=False).filter(lambda c: abs(c) >= COEFF_EPS)
+
+
 class TestCostTable:
+    @settings(deadline=None, max_examples=60)
+    @given(sized_polys(DYADIC, 12))
+    def test_exact_coefficients_bit_identical_to_per_monomial_sum(self, case):
+        n, poly = case
+        got = build_cost_table(poly, n).values
+        assert got.tobytes() == accumulate_per_monomial(poly, n).tobytes()
+
+    @settings(deadline=None, max_examples=25)
+    @given(sized_polys(ANY_FLOAT, 9))
+    def test_float_coefficients_match_evaluation(self, case):
+        n, poly = case
+        values = build_cost_table(poly, n).values
+        for z in range(1 << n):
+            want = poly.evaluate([(z >> k) & 1 for k in range(n)])
+            assert values[z] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_blocked_passes_at_many_blocks(self):
+        # 18 qubits: four blocks of the low-qubit passes, then two more passes.
+        rng = np.random.default_rng(5)
+        terms = {tuple(sorted(rng.choice(18, size=d, replace=False).tolist())): float(rng.integers(-9, 10))
+                 for d in (0, 1, 2, 3, 5, 8, 13, 18) for _ in range(4)}
+        poly = Polynomial(terms)
+        got = build_cost_table(poly, 18).values
+        assert got.tobytes() == accumulate_per_monomial(poly, 18).tobytes()
+
     def test_single_variable(self):
         table = build_cost_table(V(0), 1)
         assert table.values.tolist() == [0.0, 1.0]

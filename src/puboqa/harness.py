@@ -41,7 +41,7 @@ from .extbp import (
     objective_polynomial,
 )
 from .pbf import Polynomial
-from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, run
+from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory, run
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
 
@@ -190,6 +190,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
         optimum, _ = brute_force(inst)
         for formulation in cfg.formulations:
             enc = encode(inst, formulation, cfg.lam_uni, cfg.lam_capa)
+            check_memory(enc.qubit_count, cfg.threads)
             table = build_cost_table(enc.poly, enc.qubit_count)
             seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
             cell_start = time.perf_counter()

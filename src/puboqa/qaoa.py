@@ -6,7 +6,14 @@ table's inverse index. The mixer is the product of single-qubit rotations
 [[cos b, -i sin b], [-i sin b, cos b]]; it is fused into blocks of four
 qubits, each applied as one 16x16 matrix product between two statevector
 buffers (the topmost block covers the n mod 4 qubits left over). The mixer
-is the dominant cost at high qubit counts.
+is the dominant cost at high qubit counts. A run allocates the two buffers
+once, as one workspace, and every evaluation prepares its state in it.
+
+Shots are drawn by inverse CDF. On large states a two-level search sums
+the probability of each block of amplitudes in one pass and forms running
+sums only inside the blocks that the draws land in; it returns exactly the
+indices of one sequential running sum over the whole state, falling back
+to that sum when a draw lies within its rounding error of a CDF value.
 
 Training follows the shot protocol: every optimizer evaluation prepares the
 state for the current parameters, samples a handful of basis states, and
@@ -20,6 +27,7 @@ Basis-state convention: qubit k is bit k of the state index (little-endian).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -29,6 +37,13 @@ from scipy.optimize import minimize
 from .pbf import Polynomial
 
 QUBIT_CAP = 26
+# Peak bytes per basis state of one process that builds a cost table and runs
+# QAOA on it: the table (8), the statevector workspace (32), the inverse index
+# (8) and, when every table value is distinct, the distinct values (8) and the
+# phase vector with its temporary (32). A tracemalloc peak over
+# build_cost_table plus run() at 17-20 qubits reads at most 88.1 bytes per
+# state (50.0 with few distinct values); rounded up.
+BYTES_PER_STATE = 90
 # The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
 _TABLE_BLOCK_QUBITS = 16
 
@@ -58,10 +73,17 @@ class CostTable:
         return np.flatnonzero(self.values <= self.values.min() + tol)
 
     def _phase_basis(self):
-        """Distinct values and the inverse index, cached for fast phases."""
+        """Distinct values and the inverse index, cached for fast phases.
+
+        Every value occurs in the sorted distinct values, so searching for
+        it finds its own index; this needs one sorted copy, where
+        np.unique(return_inverse=True) holds four arrays of the table's size.
+        The index is intp: np.take converts any other index dtype to intp,
+        into a fresh array, on every call.
+        """
         if self._uniq is None:
-            self._uniq, inv = np.unique(self.values, return_inverse=True)
-            self._inv = inv.astype(np.int32).reshape(-1)
+            self._uniq = np.unique(self.values)
+            self._inv = np.searchsorted(self._uniq, self.values)
         return self._uniq, self._inv
 
 
@@ -78,6 +100,7 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     """
     if num_qubits > QUBIT_CAP:
         raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit table cap")
+    check_memory(num_qubits)
     vars_used = poly.variables()
     if vars_used and vars_used[-1] >= num_qubits:
         raise ValueError(
@@ -92,6 +115,30 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
         _subset_sum_passes(block, range(low))
     _subset_sum_passes(values, range(low, num_qubits))
     return CostTable(num_qubits, values)
+
+
+def check_memory(num_qubits: int, processes: int = 1) -> None:
+    """Refuse a register whose tables and statevectors cannot fit in memory.
+
+    Each of `processes` processes is estimated at BYTES_PER_STATE bytes per
+    basis state; a total above the machine's physical memory raises
+    ValueError. Where physical memory cannot be read, nothing is checked.
+    """
+    need = processes * (BYTES_PER_STATE << num_qubits)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"{num_qubits} qubits x {processes} process(es) need an estimated "
+            f"{need / 2**30:.2f} GiB ({BYTES_PER_STATE} bytes per basis state each), "
+            f"more than the {have / 2**30:.2f} GiB of physical memory"
+        )
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _subset_sum_passes(values: np.ndarray, qubits: range) -> None:
@@ -172,13 +219,21 @@ _HAMMING = np.array(
 )
 
 
-def evolve(params, table: CostTable, check_norm: bool = False) -> np.ndarray:
+def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None) -> np.ndarray:
     """Prepare the depth-p QAOA state for params = (g_1..g_p, b_1..b_p).
 
     Starts from the uniform superposition; each layer multiplies amplitude z
     by exp(-i g values[z]) and then applies the mixer rotation to every
-    qubit. Returns a freshly allocated complex statevector. With check_norm
-    the squared norm is verified to 1e-9 after each operator.
+    qubit. With check_norm the squared norm is verified to 1e-9 after each
+    operator.
+
+    Without a workspace the result is a freshly allocated complex
+    statevector. A workspace is a C-contiguous complex128 array of shape
+    (2, 2^n) whose two rows serve as the mixer's two buffers; the state is
+    then computed in it without allocating, and the row that the last pass
+    leaves the state in is returned. A later call with the same workspace
+    overwrites that result. The arithmetic is the same either way, so the
+    two give bit-identical states.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or len(params) % 2 != 0:
@@ -190,11 +245,19 @@ def evolve(params, table: CostTable, check_norm: bool = False) -> np.ndarray:
     size = 1 << n
     uniq, inv = table._phase_basis()
 
+    if workspace is None:
+        first = np.empty(size, dtype=np.complex128)
+        second = np.empty_like(first)
+    else:
+        if not (isinstance(workspace, np.ndarray) and workspace.dtype == np.complex128
+                and workspace.shape == (2, size) and workspace.flags.c_contiguous):
+            raise ValueError(
+                f"workspace must be a C-contiguous complex128 array of shape (2, {size})"
+            )
+        first, second = workspace
     # Every mixer pass swaps the two buffers; start in the one that the last
-    # pass leaves the state in, so the result is the buffer allocated first.
+    # pass leaves the state in, so the result is the first buffer.
     passes = depth * -(-n // _BLOCK_QUBITS)
-    first = np.empty(size, dtype=np.complex128)
-    second = np.empty_like(first)
     if passes % 2 == 0:
         psi, work = first, second
     else:
@@ -263,15 +326,84 @@ def _check_norm(psi: np.ndarray) -> None:
         raise RuntimeError(f"statevector norm drifted: |psi|^2 = {norm_sq!r}")
 
 
+# The two-level sampler works on blocks of 2^10 amplitudes, from 4 blocks up.
+_SAMPLE_BLOCK = 1 << 10
+_SAMPLE_MIN_BLOCKS = 4
+# The sequential sampler's running sum is formed 2^12 amplitudes at a time.
+_SEQUENTIAL_CHUNK = 1 << 12
+
+
 def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n_shots basis indices from |amplitude|^2 by inverse CDF."""
+    """Draw n_shots basis indices from |amplitude|^2 by inverse CDF.
+
+    The indices are those of the sequential sampler (_sample_sequential):
+    draw d picks the first index whose running sum of probabilities exceeds
+    d, clipped to the last index. The draws come from one rng.random(n_shots)
+    call. The state is read as complex128.
+
+    A state of N >= _SAMPLE_MIN_BLOCKS * _SAMPLE_BLOCK amplitudes takes a
+    two-level search. One pass sums the probability of each block of
+    _SAMPLE_BLOCK amplitudes; the running sum of these block totals locates
+    each draw's block; the running sum of probabilities is then formed only
+    inside the drawn blocks, each once, offset by the total before the
+    block. Both the sequential running sum and this two-level one lie within
+    gamma_(N+2) * total of the exact prefix sums (gamma_k = k u / (1 - k u),
+    u = 2^-53; from 4 blocks on, fewer than N + 2 roundings lie behind any
+    two-level value). A draw farther than 4 (N + 2) u max(1, total) from
+    both neighbouring two-level values therefore gets the same index from
+    the sequential sampler. If any draw is that close, or falls in the
+    rounding gap between a block's last running sum and the block total,
+    the call is answered by the sequential sampler instead.
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
-    probs = state.real ** 2 + state.imag ** 2
-    cdf = np.cumsum(probs)
+    state = np.ascontiguousarray(state, np.complex128)
     draws = rng.random(n_shots)
-    idx = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+    size = len(state)
+    if size < _SAMPLE_MIN_BLOCKS * _SAMPLE_BLOCK:
+        return _sample_sequential(state, draws)
+    f = state.view(np.float64).reshape(-1, 2 * _SAMPLE_BLOCK)
+    ends = np.cumsum(np.einsum("ij,ij->i", f, f))
+    tol = 4.0 * (size + 2) * 2.0 ** -53 * max(1.0, ends[-1])
+    last = len(ends) - 1
+    blocks = np.minimum(np.searchsorted(ends, draws, side="right"), last)
+    idx = np.empty(n_shots, dtype=np.int64)
+    for b in np.unique(blocks):
+        amps = state[b * _SAMPLE_BLOCK:(b + 1) * _SAMPLE_BLOCK]
+        cdf = np.cumsum(amps.real ** 2 + amps.imag ** 2)
+        start = ends[b - 1] if b else 0.0
+        cdf += start
+        # Each draw's two neighbouring CDF values: below the block, the total
+        # before it; above the block, nothing. A draw past the block's last
+        # running sum but below the block total lies in a rounding gap
+        # narrower than tol, so it never passes the check below.
+        around = np.concatenate(([start if b else -np.inf], cdf, [np.inf]))
+        mine = blocks == b
+        d = draws[mine]
+        local = np.searchsorted(cdf, d, side="right")
+        if not np.all((d - around[local] > tol) & (around[local + 1] - d > tol)):
+            return _sample_sequential(state, draws)
+        idx[mine] = b * _SAMPLE_BLOCK + local
+    return np.minimum(idx, size - 1)
+
+
+def _sample_sequential(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse CDF over the sequential running sum of all probabilities.
+
+    The running sum is formed _SEQUENTIAL_CHUNK amplitudes at a time, each
+    chunk's sum starting from the last value of the one before, so its
+    values are those of one np.cumsum over the whole state while only one
+    chunk is held. The running sum never decreases, so a draw's index is the
+    number of running-sum values at or below it, counted chunk by chunk.
+    """
+    idx = np.zeros(len(draws), dtype=np.int64)
+    carry = np.zeros(1)
+    for lo in range(0, len(state), _SEQUENTIAL_CHUNK):
+        amps = state[lo:lo + _SEQUENTIAL_CHUNK]
+        cdf = np.cumsum(np.concatenate((carry, amps.real ** 2 + amps.imag ** 2)))
+        idx += np.searchsorted(cdf[1:], draws, side="right")
+        carry = cdf[-1:]
+    return np.minimum(idx, len(state) - 1)
 
 
 def estimate_loss(samples: np.ndarray, table: CostTable) -> float:
@@ -317,7 +449,8 @@ def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> R
     The run's generator seeds everything: first all gammas uniform on
     [0, 2pi), then all betas uniform on [0, pi), then the shot draws of each
     evaluation in order. Identical (target, config, seed) triples therefore
-    give identical records apart from wall_ms.
+    give identical records apart from wall_ms. Every evaluation prepares its
+    state in one workspace allocated for the run (see evolve).
     """
     if isinstance(target, CostTable):
         table = target
@@ -338,10 +471,11 @@ def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> R
 
     best_state = -1
     best_loss = np.inf
+    workspace = np.empty((2, 1 << table.num_qubits), dtype=np.complex128)
 
     def loss(theta):
         nonlocal best_state, best_loss
-        psi = evolve(theta, table)
+        psi = evolve(theta, table, workspace=workspace)
         drawn = sample(psi, config.n_shots, rng)
         drawn_values = table.values[drawn]
         k = int(np.argmin(drawn_values))

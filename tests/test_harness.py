@@ -29,7 +29,8 @@ from puboqa.harness import (
     _resolve_threads,
     build_parser,
 )
-from puboqa.qaoa import QaoaConfig
+from puboqa import qaoa
+from puboqa.qaoa import BYTES_PER_STATE, QaoaConfig
 
 SMALL = ExperimentConfig(
     instances=("A",),
@@ -294,6 +295,16 @@ class TestCli:
         assert len(csv_lines) == 3
         summary = json.loads((tmp_path / "exp.summary.json").read_text())
         assert summary["runs"] == 2
+
+    def test_experiment_memory_budget_counts_threads(self, monkeypatch, tmp_path, capsys):
+        # Room for one process at A/pubo's 7 qubits, not for two.
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: 3 * (BYTES_PER_STATE << 6))
+        argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--runs", "1",
+                "--shots", "5", "--max-evals", "5", "--out", str(tmp_path / "x")]
+        assert main([*argv, "--threads", "2"]) == 2
+        assert "7 qubits x 2 process(es)" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert main([*argv, "--threads", "1"]) == 0
 
     def test_export_stdout_is_valid_json(self, capsys):
         code = main(["export", "--instance", "A", "--formulation", "qubo"])

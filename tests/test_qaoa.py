@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -10,15 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from puboqa import qaoa
 from puboqa.extbp import builtin_instance, to_pubo
 from puboqa.pbf import COEFF_EPS, Polynomial
 from puboqa.qaoa import (
+    BYTES_PER_STATE,
     QUBIT_CAP,
     CostTable,
     QaoaConfig,
     _block_matrix,
     bits_string,
     build_cost_table,
+    check_memory,
     estimate_loss,
     evolve,
     optimize,
@@ -138,6 +142,32 @@ class TestCostTable:
             CostTable(2, np.zeros(3))
 
 
+class TestMemoryBudget:
+    @pytest.fixture
+    def ten_qubits_of_memory(self, monkeypatch):
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: BYTES_PER_STATE << 10)
+
+    def test_fits(self, ten_qubits_of_memory):
+        check_memory(10)
+        assert build_cost_table(V(0), 10).values.shape == (1 << 10,)
+
+    def test_refused_before_allocating(self, ten_qubits_of_memory):
+        with pytest.raises(ValueError, match=r"11 qubits x 1 process.*0\.00 GiB.*physical memory"):
+            build_cost_table(V(0), 11)
+
+    def test_scales_with_processes(self, ten_qubits_of_memory):
+        check_memory(9, processes=2)
+        with pytest.raises(ValueError, match="x 3 process"):
+            check_memory(9, processes=3)
+
+    def test_unknown_memory_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: None)
+        check_memory(QUBIT_CAP, processes=1000)
+
+    def test_reads_physical_memory(self):
+        assert qaoa._physical_memory() > 0
+
+
 class TestBitsString:
     def test_little_endian(self):
         assert bits_string(1, 3) == "100"
@@ -211,6 +241,64 @@ class TestEvolve:
         want = dense_evolve(params, table.values)
         assert np.allclose(got, want, atol=1e-12)
 
+    # Depths 1-3 over n = 1..13 give both parities of the mixer pass count.
+    @pytest.mark.parametrize("n", range(1, 14))
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_workspace_gives_the_same_state(self, n, depth):
+        table = self.table(n)
+        rng = np.random.default_rng(7 * n + depth)
+        params = np.concatenate([rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)])
+        ws = np.empty((2, 1 << n), dtype=np.complex128)
+        got = evolve(params, table, workspace=ws)
+        assert np.array_equal(got, evolve(params, table))
+        assert np.shares_memory(got, ws)
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            np.empty((2, 32), dtype=np.complex128),
+            np.empty((3, 16), dtype=np.complex128),
+            np.empty(32, dtype=np.complex128),
+            np.empty((2, 16), dtype=np.complex64),
+            np.empty((2, 16), dtype=np.float64),
+            np.empty((2, 16), dtype=np.complex128, order="F"),
+            np.empty((2, 32), dtype=np.complex128)[:, ::2],
+            [[0j] * 16] * 2,
+        ],
+        ids=["long", "three-rows", "flat", "complex64", "float64", "fortran", "strided", "list"],
+    )
+    def test_bad_workspace_rejected(self, ws):
+        with pytest.raises(ValueError, match="workspace"):
+            evolve([0.3, 0.4], self.table(4), workspace=ws)
+
+    def test_evaluations_allocate_no_statevector_sized_arrays(self, monkeypatch):
+        # numpy reports its data allocations to tracemalloc. Each evaluation
+        # after the first (which builds the phase basis) may allocate nothing
+        # as large as 2^n float64 values: no fresh state and no full CDF.
+        n = 16
+        table = self.table(n)
+        peaks = []
+        real_optimize = qaoa.optimize
+
+        def measured_optimize(loss_fn, theta0, config):
+            def measured(theta):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                value = loss_fn(theta)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                return value
+
+            return real_optimize(measured, theta0, config)
+
+        monkeypatch.setattr(qaoa, "optimize", measured_optimize)
+        tracemalloc.start()
+        try:
+            run(table, QaoaConfig(max_evals=6), seed=1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 6
+        assert max(peaks[1:]) < (1 << n) * 8
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("beta", [0.0, 0.37, 1.1, 2.9])
     def test_block_matrix_is_kron_power(self, k, beta):
@@ -265,6 +353,38 @@ class _StubRng:
         return self.draws
 
 
+def sequential_sample(state, n_shots, rng):
+    """Reference sampler: inverse CDF over one sequential cumsum of all probabilities."""
+    probs = state.real ** 2 + state.imag ** 2
+    cdf = np.cumsum(probs)
+    draws = rng.random(n_shots)
+    idx = np.searchsorted(cdf, draws, side="right")
+    return np.minimum(idx, len(cdf) - 1).astype(np.int64)
+
+
+@st.composite
+def sampled_states(draw):
+    """States of 2^10..2^16 amplitudes (1..64 blocks of 2^10): dense, a few
+    nonzeros, or zero over the leading blocks; norm 1 or off by 1e-12."""
+    n = draw(st.integers(10, 16))
+    kind = draw(st.sampled_from(["dense", "sparse", "leading-zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << n
+    state = rng.normal(size=size) + 1j * rng.normal(size=size)
+    if kind == "sparse":
+        keep = rng.choice(size, size=draw(st.integers(1, 20)), replace=False)
+        mask = np.zeros(size, dtype=bool)
+        mask[keep] = True
+        state[~mask] = 0
+    elif kind == "leading-zeros":
+        blocks = size >> 10
+        state[: draw(st.integers(0, blocks - 1)) << 10] = 0
+        state[-1] = 1.0
+    state /= np.linalg.norm(state)
+    state *= np.sqrt(1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12])))
+    return state
+
+
 class TestSample:
     def test_point_mass(self):
         psi = np.zeros(8, dtype=np.complex128)
@@ -296,6 +416,93 @@ class TestSample:
         psi = np.array([1.0 + 0j, 0.0])
         with pytest.raises(ValueError, match="at least 1"):
             sample(psi, 0, np.random.default_rng(0))
+
+    @settings(deadline=None, max_examples=80)
+    @given(sampled_states(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_matches_sequential_sampler(self, state, n_shots, seed):
+        got = sample(state, n_shots, np.random.default_rng(seed))
+        want = sequential_sample(state, n_shots, np.random.default_rng(seed))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        # The fallback alone, over as many as sixteen of its chunks.
+        draws = np.random.default_rng(seed).random(n_shots)
+        assert np.array_equal(qaoa._sample_sequential(state, draws), want)
+
+    def spy_on_fallback(self, monkeypatch):
+        calls = []
+        real = qaoa._sample_sequential
+
+        def spy(state, draws):
+            calls.append(len(draws))
+            return real(state, draws)
+
+        monkeypatch.setattr(qaoa, "_sample_sequential", spy)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-12, 1.0 + 1e-12])
+    def test_draws_on_cdf_values_fall_back(self, monkeypatch, scale):
+        # 2^15 amplitudes: 32 blocks of the two-level search, eight chunks
+        # of the sequential fallback.
+        rng = np.random.default_rng(21)
+        state = rng.normal(size=1 << 15) + 1j * rng.normal(size=1 << 15)
+        state *= np.sqrt(scale) / np.linalg.norm(state)
+        cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
+        edges = [cdf[1023], cdf[2047], cdf[4095], cdf[16384], cdf[-1], cdf[500]]
+        near = [np.nextafter(e, side) for e in edges for side in (0.0, 2.0)]
+        draws = [*edges, *near, 0.0, 1.0, 1.5]
+        calls = self.spy_on_fallback(monkeypatch)
+        got = sample(state, len(draws), _StubRng(draws))
+        assert calls == [len(draws)]
+        assert np.array_equal(got, sequential_sample(state, len(draws), _StubRng(draws)))
+
+    def test_single_draws_at_and_around_cdf_values(self):
+        # One draw per call, so no other draw can send the call to the
+        # sequential sampler: where the two running sums differ in the last
+        # bits, a draw between them must still get the sequential index.
+        rng = np.random.default_rng(23)
+        state = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        state /= np.linalg.norm(state)
+        cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
+        picks = np.concatenate([np.arange(1000, 1100), np.arange(2040, 2060), np.arange(4080, 4096),
+                                rng.choice(4096, size=100, replace=False)])
+        for i in picks:
+            for d in (cdf[i], np.nextafter(cdf[i], 0.0), np.nextafter(cdf[i], 2.0)):
+                got = sample(state, 1, _StubRng([d]))
+                assert got.tolist() == sequential_sample(state, 1, _StubRng([d])).tolist(), (i, d)
+
+    def test_fallback_at_and_around_cdf_values_across_chunks(self):
+        # Every running-sum value of the second and third fallback chunks.
+        rng = np.random.default_rng(24)
+        state = rng.normal(size=1 << 14) + 1j * rng.normal(size=1 << 14)
+        state /= np.linalg.norm(state)
+        cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
+        edges = cdf[4095:12289]
+        draws = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        want = sequential_sample(state, len(draws), _StubRng(draws))
+        assert np.array_equal(qaoa._sample_sequential(state, draws), want)
+
+    def test_draws_between_cdf_values_take_two_levels(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        state = rng.normal(size=8192) + 1j * rng.normal(size=8192)
+        state /= np.linalg.norm(state)
+        cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
+        picks = np.array([3, 1024, 2047, 5000, 8191])
+        draws = (np.concatenate(([0.0], cdf))[picks] + cdf[picks]) / 2
+        calls = self.spy_on_fallback(monkeypatch)
+        assert sample(state, len(draws), _StubRng(draws)).tolist() == picks.tolist()
+        assert calls == []
+
+    def test_small_and_non_contiguous_states(self, monkeypatch):
+        calls = self.spy_on_fallback(monkeypatch)
+        small = np.full(2048, 2.0 ** -5.5, dtype=np.complex128)
+        assert np.array_equal(sample(small, 30, np.random.default_rng(1)),
+                              sequential_sample(small, 30, np.random.default_rng(1)))
+        assert calls == [30]
+        wide = np.zeros(2 * 8192, dtype=np.complex128)
+        wide[::2] = 2.0 ** -6.5
+        got = sample(wide[::2], 30, np.random.default_rng(2))
+        assert np.array_equal(got, sequential_sample(wide[::2], 30, np.random.default_rng(2)))
+        assert calls == [30]
 
 
 class TestEstimateLoss:

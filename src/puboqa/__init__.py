@@ -1,10 +1,12 @@
 """Constrained integer programs -> unconstrained binary polynomials -> QAOA.
 
-The pipeline: model a polynomial integer program (model), binarize it, fold
-constraints into the objective as penalties (reformulate), and minimize the
-resulting pseudo-Boolean polynomial (pbf) with a simulated QAOA loop (qaoa).
-The extbp module carries the extended bin packing benchmark with its PUBO
-and QUBO encodings; harness is the command-line front end.
+The pipeline: declare a polynomial integer program (model), binarize it,
+fold its constraints into the objective as penalties with compile_problem
+(reformulate), tabulate the resulting pseudo-Boolean polynomial (pbf) over
+the hypercube and minimize it with a simulated QAOA loop (qaoa). The extbp
+module declares the extended bin packing benchmark as a Problem and encodes
+it on the PUBO or QUBO route through that same path; harness is the
+command-line front end.
 """
 
 from .extbp import (
@@ -18,10 +20,8 @@ from .extbp import (
     encode,
     is_feasible,
     objective_value,
-    to_pubo,
-    to_qubo,
 )
-from .model import BinCodec, Constraint, ConstraintOrigin, IntVar, Problem, binarize, canonicalize
+from .model import BinCodec, Constraint, IntVar, Problem, binarize, canonicalize
 from .pbf import Polynomial
 from .qaoa import (
     CostTable,
@@ -36,7 +36,7 @@ from .qaoa import (
 )
 from .reformulate import (
     PenaltyTerm,
-    SubstitutionMap,
+    compile_problem,
     compose_unconstrained,
     eq_penalty,
     ge_penalty,
@@ -54,7 +54,6 @@ __all__ = [
     "BinCodec",
     "Classification",
     "Constraint",
-    "ConstraintOrigin",
     "CostTable",
     "EbpAssignment",
     "EbpInstance",
@@ -65,13 +64,13 @@ __all__ = [
     "Problem",
     "QaoaConfig",
     "RunRecord",
-    "SubstitutionMap",
     "binarize",
     "brute_force",
     "build_cost_table",
     "builtin_instance",
     "canonicalize",
     "classify",
+    "compile_problem",
     "compose_unconstrained",
     "encode",
     "eq_penalty",
@@ -89,6 +88,4 @@ __all__ = [
     "run",
     "sample",
     "slack_penalty",
-    "to_pubo",
-    "to_qubo",
 ]

@@ -7,9 +7,12 @@ objective minimizes cost minus benefit, so good solutions switch on few
 trains and board many groups.
 
 The module provides the three benchmark instances, a brute-force oracle over
-raw assignments, and the two encodings into unconstrained binary polynomials:
-a PUBO built from binary-valued threshold penalties, and a QUBO built from
-squared slack penalties.
+raw assignments, and the two encodings into unconstrained binary polynomials.
+Both come from one declaration (`declare`): the instance as a binary
+model.Problem with one at-most-one constraint per group that two or more
+trains serve, then one capacity constraint sum(y) - cmax*x_i <= 0 per train.
+`encode` hands it to reformulate.compile_problem, which builds a PUBO from
+binary-valued threshold penalties or a QUBO from squared slack penalties.
 
 Variable layout shared by both encodings (bit k of a basis-state index is
 variable k): x_0..x_{n-1} first, then y_(i,j) train-major with groups
@@ -26,17 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import canonicalize
+from .model import IntVar, Problem, canonicalize
 from .pbf import Polynomial
-from .reformulate import (
-    KIND_BINARY,
-    PenaltyTerm,
-    compose_unconstrained,
-    eq_penalty,
-    lambda_default,
-    le_penalty,
-    slack_penalty,
-)
+from .reformulate import compile_problem, lambda_default
 
 BRUTE_FORCE_CAP = 30
 _CHUNK_BITS = 18
@@ -223,11 +218,7 @@ def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     # adds to its load, against its limit. A group with two or more eligible
     # trains has limit 1; a train with groups has limit 0, and x_i takes off
     # its capacity, clamped to its group count so every slack fits in int8.
-    by_group: list[list[int]] = [[] for _ in range(inst.num_groups)]
-    by_train: list[list[int]] = [[] for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
-        by_group[j].append(n + k)
-        by_train[i].append(n + k)
+    by_group, by_train = _members(inst)
     rows = [(None, bits) for bits in by_group if len(bits) > 1]
     rows += [(i, bits) for i, bits in enumerate(by_train) if bits]
     flat: list[int] = []
@@ -274,6 +265,17 @@ def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     return best, optima
 
 
+def _members(inst: EbpInstance) -> tuple[list[list[int]], list[list[int]]]:
+    """Variable ids of the y bits of each group and of each train, ascending."""
+    n = inst.num_trains
+    by_group: list[list[int]] = [[] for _ in range(inst.num_groups)]
+    by_train: list[list[int]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(inst.y_pairs):
+        by_group[j].append(n + k)
+        by_train[i].append(n + k)
+    return by_group, by_train
+
+
 def _decode_index(n: int, q: int, z: int) -> EbpAssignment:
     x = tuple((z >> i) & 1 for i in range(n))
     y = tuple((z >> (n + k)) & 1 for k in range(q))
@@ -298,10 +300,7 @@ class Encoding:
 
     def project(self, z: int) -> EbpAssignment:
         """Read (x, y) out of a basis-state index, dropping any slack bits."""
-        n, q = self.num_trains, len(self.y_pairs)
-        x = tuple((z >> i) & 1 for i in range(n))
-        y = tuple((z >> (n + k)) & 1 for k in range(q))
-        return EbpAssignment(x, y)
+        return _decode_index(self.num_trains, len(self.y_pairs), z)
 
 
 def objective_polynomial(inst: EbpInstance) -> Polynomial:
@@ -318,93 +317,53 @@ def default_lambda(inst: EbpInstance) -> float:
     return lambda_default(objective_polynomial(inst))
 
 
-def _base_names(inst: EbpInstance) -> list[str]:
-    names = [f"x_{i}" for i in range(inst.num_trains)]
-    names += [f"y_{i}_{j}" for i, j in inst.y_pairs]
-    return names
+def declare(inst: EbpInstance) -> tuple[Problem, tuple[int, ...]]:
+    """The instance as a binary Problem over the shared x/y layout.
 
-
-def to_pubo(inst: EbpInstance, lam_uni: float | None = None, lam_capa: float | None = None) -> Encoding:
-    """PUBO over n + q qubits from binary-valued threshold penalties.
-
-    Each group contributes an at-most-one penalty over its eligible y bits
-    (zero polynomial when fewer than two trains are eligible). Each train i
-    contributes (1 - x_i) * [some group boarded] + x_i * [more than cmax
-    boarded], which is again 0/1-valued. Omitted lambdas default to the
-    objective's interval width + 1.
+    Constraints, in order: sum(y) <= 1 for every group with at least two
+    eligible trains (ascending group id; a group with fewer is never
+    violated and is not declared), then sum(y) - cmax*x_i <= 0 for every
+    train, including trains that serve no group. Returns the problem and the
+    declared groups.
     """
-    if lam_uni is None:
-        lam_uni = default_lambda(inst)
-    if lam_capa is None:
-        lam_capa = default_lambda(inst)
-    if not (lam_uni > 0 and lam_capa > 0):
-        raise ValueError("penalty weights must be positive")
     n = inst.num_trains
-    pairs = inst.y_pairs
-    penalties: list[PenaltyTerm] = []
-    for j in range(inst.num_groups):
-        yv = [n + k for k, (_, jj) in enumerate(pairs) if jj == j]
-        penalties.append(le_penalty(yv, 1).with_lambda(lam_uni))
-    for i in range(n):
-        yv = [n + k for k, (ii, _) in enumerate(pairs) if ii == i]
-        none_boarded = eq_penalty(yv, 0).poly
-        over_capacity = le_penalty(yv, inst.cmax).poly
-        xi = Polynomial.variable(i)
-        conditional = (1 - xi) * none_boarded + xi * over_capacity
-        penalties.append(PenaltyTerm(conditional, KIND_BINARY, lam=lam_capa))
-    poly = compose_unconstrained(objective_polynomial(inst), penalties)
-    names = _base_names(inst)
-    return Encoding("pubo", poly, tuple(names), n + inst.num_y, n, pairs, lam_uni, lam_capa)
-
-
-def to_qubo(inst: EbpInstance, lam_uni: float | None = None, lam_capa: float | None = None) -> Encoding:
-    """QUBO over n + q + slack qubits from squared slack penalties.
-
-    Groups with at least two eligible trains get (sum y + s_j - 1)^2 with one
-    slack bit; groups with fewer are never violated and are elided outright,
-    contributing no term and no bit. Every train gets
-    (sum y - cmax*x_i + r_i)^2 with r_i on floor(log2 cmax) + 1 bits.
-    """
-    if lam_uni is None:
-        lam_uni = default_lambda(inst)
-    if lam_capa is None:
-        lam_capa = default_lambda(inst)
-    if not (lam_uni > 0 and lam_capa > 0):
-        raise ValueError("penalty weights must be positive")
-    n = inst.num_trains
-    pairs = inst.y_pairs
-    names = _base_names(inst)
-    next_id = n + inst.num_y
-    penalties: list[PenaltyTerm] = []
-
-    for j in range(inst.num_groups):
-        yv = [n + k for k, (_, jj) in enumerate(pairs) if jj == j]
-        if len(yv) < 2:
-            continue
-        lhs = Polynomial.from_terms(((v,), 1.0) for v in yv)
-        con = canonicalize("<=", lhs, 1)[0]
-        term = slack_penalty(con, first_slack_id=next_id)
-        penalties.append(term.with_lambda(lam_uni))
-        names.extend(f"s_{j}" for _ in term.slack_vars)
-        next_id += len(term.slack_vars)
-
-    for i in range(n):
-        yv = [n + k for k, (ii, _) in enumerate(pairs) if ii == i]
-        lhs = Polynomial.from_terms([((v,), 1.0) for v in yv] + [((i,), -float(inst.cmax))])
-        con = canonicalize("<=", lhs, 0)[0]
-        term = slack_penalty(con, first_slack_id=next_id)
-        penalties.append(term.with_lambda(lam_capa))
-        names.extend(f"r_{i}_{b}" for b in range(len(term.slack_vars)))
-        next_id += len(term.slack_vars)
-
-    poly = compose_unconstrained(objective_polynomial(inst), penalties)
-    return Encoding("qubo", poly, tuple(names), next_id, n, pairs, lam_uni, lam_capa)
+    by_group, by_train = _members(inst)
+    wide = tuple(j for j, ys in enumerate(by_group) if len(ys) >= 2)
+    constraints = []
+    for j in wide:
+        lhs = Polynomial.from_terms(((v,), 1.0) for v in by_group[j])
+        constraints += canonicalize("<=", lhs, 1)
+    for i, ys in enumerate(by_train):
+        lhs = Polynomial.from_terms([((v,), 1.0) for v in ys] + [((i,), -float(inst.cmax))])
+        constraints += canonicalize("<=", lhs, 0)
+    variables = tuple(IntVar(v, 1) for v in range(n + inst.num_y))
+    return Problem(variables, objective_polynomial(inst), tuple(constraints)), wide
 
 
 def encode(inst: EbpInstance, formulation: str,
            lam_uni: float | None = None, lam_capa: float | None = None) -> Encoding:
-    if formulation == "pubo":
-        return to_pubo(inst, lam_uni, lam_capa)
-    if formulation == "qubo":
-        return to_qubo(inst, lam_uni, lam_capa)
-    raise ValueError(f"unknown formulation {formulation!r}; choose pubo or qubo")
+    """The instance as one unconstrained polynomial on the pubo or qubo route.
+
+    Uniqueness constraints are weighted lam_uni and capacity constraints
+    lam_capa; an omitted weight defaults to the objective's interval width
+    + 1. The pubo route needs n + q qubits. The qubo route appends one slack
+    bit s_j per declared group, then the capacity bits r_i_l of each train,
+    floor(log2 cmax) + 1 of them, least significant first.
+    """
+    if lam_uni is None or lam_capa is None:
+        lam = default_lambda(inst)
+        lam_uni = lam if lam_uni is None else lam_uni
+        lam_capa = lam if lam_capa is None else lam_capa
+    if not (lam_uni > 0 and lam_capa > 0):
+        raise ValueError("penalty weights must be positive")
+    problem, wide = declare(inst)
+    weights = [lam_uni] * len(wide) + [lam_capa] * inst.num_trains
+    poly, slack = compile_problem(problem, formulation, weights)
+    names = [f"x_{i}" for i in range(inst.num_trains)]
+    names += [f"y_{i}_{j}" for i, j in inst.y_pairs]
+    for j, ids in zip(wide, slack):
+        names.extend(f"s_{j}" for _ in ids)
+    for i, ids in enumerate(slack[len(wide):]):
+        names.extend(f"r_{i}_{b}" for b in range(len(ids)))
+    return Encoding(formulation, poly, tuple(names), len(names), inst.num_trains,
+                    inst.y_pairs, lam_uni, lam_capa)

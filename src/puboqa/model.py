@@ -2,10 +2,11 @@
 
 A Problem holds bounded integer variables, a polynomial objective to
 minimize, and polynomial constraints in the canonical form lhs <= 0.
-`canonicalize` maps user-facing relations (<=, >=, ==) into that form,
-tagging each constraint with its origin so later stages can pick the right
-penalty construction. `binarize` replaces every integer variable by its
-base-2 bit expansion and rewrites all polynomials over the new bit ids.
+`canonicalize` maps user-facing relations (<=, >=, ==) into that form.
+`binarize` replaces every integer variable by its base-2 bit expansion and
+rewrites all polynomials over the new bit ids. A binary Problem is what
+`reformulate.compile_problem` turns into one unconstrained polynomial; the
+penalty each constraint gets is read off its canonical lhs there.
 
 Because the polynomial type is multilinear, model inputs must be multilinear
 in each integer variable (degree at most 1 per variable). Cross products of
@@ -38,32 +39,10 @@ class IntVar:
 
 
 @dataclass(frozen=True)
-class ConstraintOrigin:
-    """Where a canonical constraint came from.
-
-    relation/bound record the user-facing comparison. unit_sum marks the
-    structural class: the canonical lhs is a sum of distinct variables with
-    unit coefficients plus a constant, in which case sum_vars lists the
-    variables, sum_bound the threshold after folding the constant, and
-    sum_relation whether the shape reads sum(x) <= bound or sum(x) >= bound.
-    Threshold penalty constructions apply only to that class; everything
-    else goes through the product construction.
-    """
-
-    relation: str
-    bound: int
-    unit_sum: bool = False
-    sum_vars: tuple[VarId, ...] = ()
-    sum_bound: int = 0
-    sum_relation: str = ""
-
-
-@dataclass(frozen=True)
 class Constraint:
     """A canonical constraint: satisfied exactly when lhs(x) <= 0."""
 
     lhs: Polynomial
-    origin: ConstraintOrigin
 
     def __post_init__(self):
         _require_integer_coeffs(self.lhs)
@@ -114,39 +93,10 @@ def canonicalize(relation: str, lhs: Polynomial, rhs: int) -> list[Constraint]:
     _require_integer_coeffs(lhs)
 
     if rel == "<=":
-        return [_tagged(lhs - rhs, rel, rhs)]
+        return [Constraint(lhs - rhs)]
     if rel == ">=":
-        return [_tagged(rhs - lhs, rel, rhs)]
-    return [_tagged(lhs - rhs, rel, rhs), _tagged(rhs - lhs, rel, rhs)]
-
-
-def _tagged(canonical: Polynomial, relation: str, bound: int) -> Constraint:
-    unit, vs, sb, sr = _unit_sum_shape(canonical)
-    return Constraint(canonical, ConstraintOrigin(relation, bound, unit, vs, sb, sr))
-
-
-def _unit_sum_shape(canonical: Polynomial) -> tuple[bool, tuple[VarId, ...], int, str]:
-    """Detect lhs of shape sum(x_v) - b <= 0 or b - sum(x_v) <= 0.
-
-    The sign of the variable coefficients identifies which side the sum sits
-    on; mixed or non-unit coefficients are not a unit sum.
-    """
-    coeffs = []
-    const = canonical.constant_term
-    for m, c in canonical.terms.items():
-        if len(m) > 1:
-            return False, (), 0, ""
-        if len(m) == 1:
-            coeffs.append((m[0], c))
-    if not coeffs:
-        return False, (), 0, ""
-    if all(abs(c - 1.0) <= INT_EPS for _, c in coeffs):
-        # sum(x) + const <= 0, i.e. sum(x) <= -const
-        return True, tuple(sorted(v for v, _ in coeffs)), int(round(-const)), "<="
-    if all(abs(c + 1.0) <= INT_EPS for _, c in coeffs):
-        # const - sum(x) <= 0, i.e. sum(x) >= const
-        return True, tuple(sorted(v for v, _ in coeffs)), int(round(const)), ">="
-    return False, (), 0, ""
+        return [Constraint(rhs - lhs)]
+    return [Constraint(lhs - rhs), Constraint(rhs - lhs)]
 
 
 @dataclass(frozen=True)
@@ -212,8 +162,7 @@ def binarize(problem: Problem) -> tuple[Problem, BinCodec]:
     first. The encoding may overshoot U (the bit range can represent values
     above the bound); constraints of the original problem are what keep
     solutions in range, and penalty constructions remain sound under
-    overshoot. Objective and constraints are rewritten by substitution, and
-    constraint origin tags are recomputed on the rewritten form.
+    overshoot. Objective and constraints are rewritten by substitution.
     """
     spans = []
     replacement: dict[VarId, Polynomial] = {}
@@ -234,10 +183,7 @@ def binarize(problem: Problem) -> tuple[Problem, BinCodec]:
     codec = BinCodec(tuple(spans))
     new_vars = tuple(IntVar(i, 1) for i in range(next_bit))
     new_objective = _rewrite(problem.objective, replacement)
-    new_constraints = tuple(
-        _tagged(_rewrite(c.lhs, replacement), c.origin.relation, c.origin.bound)
-        for c in problem.constraints
-    )
+    new_constraints = tuple(Constraint(_rewrite(c.lhs, replacement)) for c in problem.constraints)
     return Problem(new_vars, new_objective, new_constraints), codec
 
 

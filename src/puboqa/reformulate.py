@@ -14,9 +14,14 @@ ones. Four constructions are provided:
 * the linearization gadget used by reduce_to_quadratic to lower polynomial
   degree at the cost of auxiliary variables.
 
-Adding lambda-weighted penalties to the objective (compose_unconstrained)
-preserves the constrained minimizers whenever each lambda is at least the
-objective's range width; lambda_default returns width + 1.
+penalty_for reads a canonical lhs and picks the binary-valued construction
+it calls for. compile_problem is the one place an encoding is assembled: it
+takes a binary model.Problem and a weight per constraint, gives each
+constraint penalty_for (the "pubo" route) or slack_penalty (the "qubo"
+route), and adds the weighted penalties to the objective
+(compose_unconstrained). That preserves the constrained minimizers whenever
+each weight is at least the objective's range width; lambda_default returns
+width + 1.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .model import INT_EPS, Constraint
+from .model import INT_EPS, Constraint, Problem
 from .pbf import Monomial, Polynomial, VarId
 
 KIND_BINARY = "binary-valued"
@@ -36,7 +41,12 @@ KIND_SLACK = "slack-quadratic"
 KIND_GADGET = "linearization-gadget"
 _KINDS = (KIND_BINARY, KIND_PRODUCT, KIND_SLACK, KIND_GADGET)
 
-MAX_SYMMETRIC_VARS = 24
+# A threshold penalty over g variables has about 2^g monomials, and a gated
+# one about 2^(g+1). The cap refuses them before they are expanded: a PUBO
+# encode of one train serving 20 groups peaks at 1000 MiB under tracemalloc
+# on 64-bit CPython 3.11 (about 500 bytes per term), and each further
+# variable doubles that.
+MAX_SYMMETRIC_VARS = 20
 DEFAULT_PRODUCT_CAP = 20
 
 
@@ -323,29 +333,102 @@ def lambda_default(objective: Polynomial) -> float:
 
 
 def compose_unconstrained(objective: Polynomial, penalties: Iterable[PenaltyTerm]) -> Polynomial:
-    """objective + sum of lam * penalty over all terms, as one Polynomial."""
-    out = objective
+    """objective + sum of lam * penalty over all terms, as one Polynomial.
+
+    The terms are summed into one dict, each monomial as acc[m] + lam * c in
+    penalty order, and normalized once at the end, where monomials whose
+    total is below COEFF_EPS are dropped.
+    """
+    acc = dict(objective.terms)
     for term in penalties:
-        if not term.lam > 0:
+        lam = term.lam
+        if not lam > 0:
             raise ValueError("penalty weights must be positive")
-        out = out + term.lam * term.poly
-    return out
+        for mono, coeff in term.poly.terms.items():
+            acc[mono] = acc.get(mono, 0.0) + lam * coeff
+    return Polynomial(acc)
+
+
+def compile_problem(
+    problem: Problem, route: str, weights: Sequence[float]
+) -> tuple[Polynomial, tuple[tuple[VarId, ...], ...]]:
+    """Fold a binary Problem's constraints into its objective.
+
+    On the "pubo" route each constraint gets penalty_for, which needs no
+    extra variables. On the "qubo" route each gets slack_penalty, with slack
+    bit ids counted up from problem.num_variables in constraint order. Each
+    penalty enters with its constraint's weight, which must be positive.
+    Returns the composed polynomial and, per constraint, its slack bit ids
+    (empty on the pubo route). Integer programs go through model.binarize
+    first.
+    """
+    if route not in ("pubo", "qubo"):
+        raise ValueError(f"unknown formulation {route!r}; choose pubo or qubo")
+    if not problem.is_binary():
+        raise ValueError("compile_problem needs a binary problem; binarize it first")
+    penalties: list[PenaltyTerm] = []
+    next_id = problem.num_variables
+    for con, lam in zip(problem.constraints, weights, strict=True):
+        if route == "pubo":
+            term = penalty_for(con)
+        else:
+            term = slack_penalty(con, first_slack_id=next_id)
+            next_id += len(term.slack_vars)
+        penalties.append(term.with_lambda(lam))
+    poly = compose_unconstrained(problem.objective, penalties)
+    return poly, tuple(term.slack_vars for term in penalties)
 
 
 def penalty_for(c: Constraint) -> PenaltyTerm:
     """Pick the penalty construction a canonical constraint calls for.
 
-    Unit-coefficient sums against an integer threshold use the binary-valued
-    threshold penalties (a vacuous threshold yields the zero polynomial);
-    everything else, weighted sums included, goes through product_penalty.
+    A linear lhs sum(a_v x_v) - b is read by its coefficients:
+
+    * all a_v = 1: sum(x) <= b, an at-most threshold (le_penalty);
+    * all a_v = -1: sum(x) >= -b, an at-least threshold (ge_penalty);
+    * all a_v = 1 but one gate x with a_x = -g, g >= 1, and b >= 0: the
+      gated sum sum(Y) <= b + g*x, split on the gate into
+      (1 - x) * le_penalty(Y, b) + x * le_penalty(Y, b + g), which is again
+      0/1-valued.
+
+    A vacuous threshold yields the zero polynomial. Everything else, weighted
+    sums and nonlinear lhs included, goes through product_penalty.
     """
-    o = c.origin
-    if o.unit_sum:
-        if o.sum_relation == "<=":
-            if o.sum_bound < 0:
-                raise ValueError("constraint is unsatisfiable: sum below a negative bound")
-            return le_penalty(list(o.sum_vars), o.sum_bound)
-        if o.sum_bound <= 0:
+    coeffs: dict[VarId, int] = {}
+    for mono, coeff in c.lhs.terms.items():
+        if len(mono) > 1:
+            return product_penalty(c)
+        if mono:
+            coeffs[mono[0]] = int(round(coeff))
+    ones = sorted(v for v, a in coeffs.items() if a == 1)
+    others = sorted((v, a) for v, a in coeffs.items() if a != 1)
+    b = -int(round(c.lhs.constant_term))
+    if ones and not others:
+        if b < 0:
+            raise ValueError("constraint is unsatisfiable: sum below a negative bound")
+        return le_penalty(ones, b)
+    if others and not ones and all(a == -1 for _, a in others):
+        if b >= 0:
             return PenaltyTerm(Polynomial.zero(), KIND_BINARY)
-        return ge_penalty(list(o.sum_vars), o.sum_bound)
+        return ge_penalty([v for v, _ in others], -b)
+    if len(others) == 1 and others[0][1] <= -1 and b >= 0:
+        (gate, a), = others
+        return _gated_le_penalty(ones, gate, b, -a)
     return product_penalty(c)
+
+
+def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> PenaltyTerm:
+    """(1 - gate) * le_penalty(ys, b) + gate * le_penalty(ys, b + g).
+
+    Written out term by term: each monomial m of the closed-gate penalty A
+    appears as m with A's coefficient and as m*gate with its negation, to
+    which the open-gate penalty adds its own coefficient.
+    """
+    closed = le_penalty(ys, b).poly.terms
+    acc = dict(closed)
+    for mono, coeff in closed.items():
+        acc[mono + (gate,)] = -coeff
+    for mono, coeff in le_penalty(ys, b + g).poly.terms.items():
+        key = mono + (gate,)
+        acc[key] = acc.get(key, 0.0) + coeff
+    return PenaltyTerm(Polynomial(acc), KIND_BINARY)

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from puboqa.extbp import brute_force, builtin_instance, default_lambda, encode, to_pubo
+from puboqa.extbp import brute_force, builtin_instance, default_lambda, encode
 from puboqa.harness import (
     CSV_COLUMNS,
     THREADS_ENV_VAR,
@@ -137,7 +137,7 @@ def test_criterion_3_benchmark_oracle_values():
     for name, (opt, count, bounds, lam) in expected.items():
         inst = builtin_instance(name)
         best, optima = brute_force(inst)
-        enc = to_pubo(inst)
+        enc = encode(inst, "pubo")
         obj_bounds = Polynomial.from_terms(
             [((i,), t.cost) for i, t in enumerate(inst.trains)]
             + [
@@ -220,7 +220,7 @@ def test_criterion_5_encoding_equivalence():
 
 
 def test_criterion_6_quadratization():
-    poly = to_pubo(builtin_instance("A")).poly
+    poly = encode(builtin_instance("A"), "pubo").poly
     quad, smap = reduce_to_quadratic(poly, lambda_default(poly))
     n_orig = max(poly.variables()) + 1
     n_ext = max(quad.variables()) + 1
@@ -311,7 +311,7 @@ def test_criterion_7_formulation_comparison(tmp_path):
 def test_criterion_8_simulator_properties():
     issues = []
 
-    table = build_cost_table(to_pubo(builtin_instance("B")).poly, 9)
+    table = build_cost_table(encode(builtin_instance("B"), "pubo").poly, 9)
     rng = np.random.default_rng(99)
     params = np.concatenate(
         [rng.uniform(0, 2 * np.pi, 3), rng.uniform(0, np.pi, 3)]

@@ -19,15 +19,16 @@ from puboqa.extbp import (
     brute_force,
     builtin_instance,
     classify,
+    declare,
     default_lambda,
     encode,
     is_feasible,
     objective_polynomial,
     objective_value,
-    to_pubo,
-    to_qubo,
 )
+from puboqa.model import canonicalize
 from puboqa.pbf import Polynomial
+from puboqa.reformulate import eq_penalty, le_penalty, slack_penalty
 
 
 def bits_of(z, width):
@@ -272,21 +273,21 @@ class TestObjectivePolynomial:
 class TestPuboEncoding:
     @pytest.mark.parametrize("name,qubits", [("A", 7), ("B", 9), ("C", 11)])
     def test_qubit_count(self, name, qubits):
-        enc = to_pubo(builtin_instance(name))
+        enc = encode(builtin_instance(name), "pubo")
         assert enc.qubit_count == qubits
         assert len(enc.var_names) == qubits
 
     def test_var_names_for_a(self):
-        enc = to_pubo(builtin_instance("A"))
+        enc = encode(builtin_instance("A"), "pubo")
         assert enc.var_names == ("x_0", "x_1", "x_2", "y_0_0", "y_1_1", "y_2_0", "y_2_1")
 
     def test_cubic_terms_present(self):
-        assert to_pubo(builtin_instance("A")).poly.degree == 3
+        assert encode(builtin_instance("A"), "pubo").poly.degree == 3
 
     def test_penalty_decomposes_into_violation_counts(self):
         inst = builtin_instance("A")
         lam_uni, lam_capa = 5.0, 9.0
-        enc = to_pubo(inst, lam_uni=lam_uni, lam_capa=lam_capa)
+        enc = encode(inst, "pubo", lam_uni=lam_uni, lam_capa=lam_capa)
         obj = objective_polynomial(inst)
         n, pairs = inst.num_trains, inst.y_pairs
         for z in range(1 << enc.qubit_count):
@@ -307,11 +308,11 @@ class TestPuboEncoding:
             assert enc.poly.evaluate(bits) == pytest.approx(want, abs=1e-9)
 
     def test_default_lambdas_recorded(self):
-        enc = to_pubo(builtin_instance("B"))
+        enc = encode(builtin_instance("B"), "pubo")
         assert enc.lam_uni == enc.lam_capa == 10.0
 
     def test_project_reads_x_then_y(self):
-        enc = to_pubo(builtin_instance("A"))
+        enc = encode(builtin_instance("A"), "pubo")
         z = (1 << 0) | (1 << 4)
         assert enc.project(z) == EbpAssignment((1, 0, 0), (0, 1, 0, 0))
 
@@ -319,16 +320,16 @@ class TestPuboEncoding:
 class TestQuboEncoding:
     @pytest.mark.parametrize("name,qubits", [("A", 15), ("B", 17), ("C", 20)])
     def test_qubit_count(self, name, qubits):
-        enc = to_qubo(builtin_instance(name))
+        enc = encode(builtin_instance(name), "qubo")
         assert enc.qubit_count == qubits
         assert len(enc.var_names) == qubits
 
     def test_degree_at_most_two(self):
         for name in "ABC":
-            assert to_qubo(builtin_instance(name)).poly.degree <= 2
+            assert encode(builtin_instance(name), "qubo").poly.degree <= 2
 
     def test_var_names_for_a(self):
-        enc = to_qubo(builtin_instance("A"))
+        enc = encode(builtin_instance("A"), "qubo")
         assert enc.var_names == (
             "x_0", "x_1", "x_2", "y_0_0", "y_1_1", "y_2_0", "y_2_1",
             "s_0", "s_1",
@@ -340,20 +341,20 @@ class TestQuboEncoding:
         inst = EbpInstance(
             "X", 3, 2, (Train(1.0, 1.0, (0, 1, 2)), Train(1.0, 1.0, (0,)))
         )
-        enc = to_qubo(inst)
+        enc = encode(inst, "qubo")
         s_names = [v for v in enc.var_names if v.startswith("s_")]
         assert s_names == ["s_0"]
 
     def test_capacity_slack_width_tracks_cmax(self):
         inst = EbpInstance("X", 3, 3, (Train(1.0, 1.0, (0, 1, 2)),))
-        enc = to_qubo(inst)
+        enc = encode(inst, "qubo")
         r_names = [v for v in enc.var_names if v.startswith("r_")]
         assert r_names == ["r_0_0", "r_0_1"]
         assert enc.qubit_count == 1 + 3 + 0 + 2
 
     def test_min_over_slack_matches_feasibility(self):
         inst = EbpInstance("X", 3, 3, (Train(1.0, 1.0, (0, 1, 2)),))
-        enc = to_qubo(inst)
+        enc = encode(inst, "qubo")
         obj = objective_polynomial(inst)
         base = inst.num_trains + inst.num_y
         k = enc.qubit_count - base
@@ -369,9 +370,114 @@ class TestQuboEncoding:
                 assert best > obj.evaluate(pattern) + 1.0 - 1e-9
 
     def test_project_drops_slack_bits(self):
-        enc = to_qubo(builtin_instance("A"))
+        enc = encode(builtin_instance("A"), "qubo")
         z = (1 << 2) | (1 << 9) | (1 << 14)
         assert enc.project(z) == EbpAssignment((0, 0, 1), (0, 0, 0, 0))
+
+
+def oracle_encoding(inst, kind, lam_uni=None, lam_capa=None):
+    """Polynomial, names and qubit count as the encodings were once built by hand.
+
+    The PUBO gives every group le_penalty(eligible y, 1) and every train
+    (1 - x_i) * eq_penalty(y, 0) + x_i * le_penalty(y, cmax); the QUBO gives
+    (sum y + s_j - 1)^2 to each group that two or more trains serve and
+    (sum y - cmax x_i + r_i)^2 to every train. Penalties are added one at a
+    time as objective + lam * penalty.
+    """
+    lam = default_lambda(inst)
+    lam_uni = lam if lam_uni is None else lam_uni
+    lam_capa = lam if lam_capa is None else lam_capa
+    n, pairs = inst.num_trains, inst.y_pairs
+    names = [f"x_{i}" for i in range(n)] + [f"y_{i}_{j}" for i, j in pairs]
+    next_id = n + inst.num_y
+    groups = [[n + k for k, (_, jj) in enumerate(pairs) if jj == j] for j in range(inst.num_groups)]
+    trains = [[n + k for k, (ii, _) in enumerate(pairs) if ii == i] for i in range(n)]
+    weighted = []
+    if kind == "pubo":
+        weighted += [(lam_uni, le_penalty(yv, 1).poly) for yv in groups]
+        for i, yv in enumerate(trains):
+            xi = Polynomial.variable(i)
+            cond = (1 - xi) * eq_penalty(yv, 0).poly + xi * le_penalty(yv, inst.cmax).poly
+            weighted.append((lam_capa, cond))
+    else:
+        for j, yv in enumerate(groups):
+            if len(yv) < 2:
+                continue
+            con = canonicalize("<=", Polynomial.from_terms(((v,), 1.0) for v in yv), 1)[0]
+            term = slack_penalty(con, first_slack_id=next_id)
+            weighted.append((lam_uni, term.poly))
+            names.extend(f"s_{j}" for _ in term.slack_vars)
+            next_id += len(term.slack_vars)
+        for i, yv in enumerate(trains):
+            lhs = Polynomial.from_terms([((v,), 1.0) for v in yv] + [((i,), -float(inst.cmax))])
+            term = slack_penalty(canonicalize("<=", lhs, 0)[0], first_slack_id=next_id)
+            weighted.append((lam_capa, term.poly))
+            names.extend(f"r_{i}_{b}" for b in range(len(term.slack_vars)))
+            next_id += len(term.slack_vars)
+    poly = objective_polynomial(inst)
+    for w, pen in weighted:
+        poly = poly + w * pen
+    return poly, tuple(names), len(names)
+
+
+@st.composite
+def encodable_instances(draw):
+    """Up to 4 trains serving up to 6 groups each, empty trains and single-eligible groups included."""
+    num_groups = draw(st.integers(1, 8))
+    half = st.integers(0, 8).map(lambda v: v / 2)
+    trains = tuple(
+        Train(draw(half), draw(half),
+              tuple(sorted(draw(st.sets(st.integers(0, num_groups - 1), max_size=6)))))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return EbpInstance("drawn", num_groups, draw(st.integers(1, 3)), trains)
+
+
+class TestAgainstHandBuiltEncodings:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        encodable_instances(),
+        st.sampled_from(["pubo", "qubo"]),
+        st.one_of(st.none(), st.integers(1, 40).filter(lambda v: v % 4).map(lambda v: v / 4)),
+        st.one_of(st.none(), st.integers(1, 40).filter(lambda v: v % 4).map(lambda v: v / 4)),
+    )
+    def test_term_for_term(self, inst, kind, lam_uni, lam_capa):
+        enc = encode(inst, kind, lam_uni, lam_capa)
+        poly, names, qubits = oracle_encoding(inst, kind, lam_uni, lam_capa)
+        assert enc.poly.terms == poly.terms
+        assert enc.var_names == names
+        assert enc.qubit_count == qubits == len(names)
+
+    @pytest.mark.parametrize("name", "ABC")
+    @pytest.mark.parametrize("kind", ["pubo", "qubo"])
+    def test_builtins(self, name, kind):
+        inst = builtin_instance(name)
+        enc = encode(inst, kind)
+        poly, names, qubits = oracle_encoding(inst, kind)
+        assert (enc.poly.terms, enc.var_names, enc.qubit_count) == (poly.terms, names, qubits)
+
+
+class TestDeclare:
+    def test_constraints_of_a(self):
+        problem, wide = declare(builtin_instance("A"))
+        assert wide == (0, 1)
+        assert problem.is_binary() and problem.num_variables == 7
+        lhs = [c.lhs for c in problem.constraints]
+        V = Polynomial.variable
+        assert lhs == [
+            V(3) + V(5) - 1,
+            V(4) + V(6) - 1,
+            V(3) - 2 * V(0),
+            V(4) - 2 * V(1),
+            V(5) + V(6) - 2 * V(2),
+        ]
+
+    def test_single_eligible_groups_and_empty_trains(self):
+        inst = EbpInstance("X", 3, 2, (Train(1.0, 1.0, (0, 1, 2)), Train(1.0, 1.0, (0,)), Train(1.0, 1.0, ())))
+        problem, wide = declare(inst)
+        assert wide == (0,)
+        assert len(problem.constraints) == 1 + 3
+        assert problem.constraints[-1].lhs == -2 * Polynomial.variable(2)
 
 
 class TestEncodeDispatcher:
@@ -387,6 +493,13 @@ class TestEncodeDispatcher:
     def test_nonpositive_lambda_rejected(self):
         inst = builtin_instance("A")
         with pytest.raises(ValueError, match="positive"):
-            to_pubo(inst, lam_uni=0.0)
+            encode(inst, "pubo", lam_uni=0.0)
         with pytest.raises(ValueError, match="positive"):
-            to_qubo(inst, lam_capa=-1.0)
+            encode(inst, "qubo", lam_capa=-1.0)
+
+    @pytest.mark.parametrize("kind", ["pubo", "qubo"])
+    def test_nonpositive_lambda_rejected_without_uniqueness_constraints(self, kind):
+        inst = EbpInstance("X", 2, 2, (Train(1.0, 1.0, (0, 1)),))
+        assert declare(inst)[1] == ()
+        with pytest.raises(ValueError, match="positive"):
+            encode(inst, kind, lam_uni=0.0)

@@ -7,13 +7,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import puboqa
 
-from puboqa.extbp import builtin_instance, to_pubo
+from puboqa.extbp import builtin_instance, encode
 from puboqa.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -31,6 +32,7 @@ from puboqa.harness import (
 )
 from puboqa import qaoa
 from puboqa.qaoa import BYTES_PER_STATE, QaoaConfig
+from puboqa.reformulate import MAX_SYMMETRIC_VARS
 
 SMALL = ExperimentConfig(
     instances=("A",),
@@ -227,7 +229,7 @@ class TestVerify:
 
 class TestExport:
     def test_round_trip(self):
-        enc = to_pubo(builtin_instance("A"))
+        enc = encode(builtin_instance("A"), "pubo")
         payload = export_encoding(enc, "A")
         poly, names = import_polynomial(payload)
         assert poly == enc.poly
@@ -237,7 +239,7 @@ class TestExport:
     def test_serialized_terms_evaluate_identically(self):
         import random
 
-        enc = to_pubo(builtin_instance("B"))
+        enc = encode(builtin_instance("B"), "pubo")
         poly, _ = import_polynomial(export_encoding(enc, "B"))
         rng = random.Random(5)
         for _ in range(100):
@@ -273,6 +275,21 @@ class TestCli:
         path.write_text(json.dumps(obj))
         assert main(["verify", "--instance", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oversized_threshold_refused_before_expansion(self, tmp_path, capsys):
+        # One train serving MAX_SYMMETRIC_VARS + 1 groups: its capacity
+        # penalty would hold about 2^(g + 2) terms, several GiB.
+        g = MAX_SYMMETRIC_VARS + 1
+        obj = {"name": "wide", "num_groups": g, "cmax": 1,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": list(range(g))}]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        started = time.perf_counter()
+        assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
+        assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
+        assert main(["verify", "--instance", str(path)]) == 2
+        assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
+        assert time.perf_counter() - started < 30.0
 
     def test_solve_prints_classification(self, capsys):
         code = main([
@@ -321,7 +338,7 @@ class TestCli:
         ])
         assert code == 0
         poly, _ = import_polynomial(json.loads(out.read_text()))
-        assert poly == to_pubo(builtin_instance("A")).poly
+        assert poly == encode(builtin_instance("A"), "pubo").poly
 
 
 class TestThreadResolution:

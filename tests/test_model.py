@@ -1,4 +1,4 @@
-"""Canonicalization, structural tagging, and binarization."""
+"""Canonicalization and binarization."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pytest
 
 from puboqa.model import BinCodec, Constraint, IntVar, Problem, binarize, canonicalize
 from puboqa.pbf import Polynomial
+from puboqa.reformulate import KIND_PRODUCT, le_penalty, penalty_for
 
 
 def lin(*coeffs, const=0.0):
@@ -21,7 +22,6 @@ class TestCanonicalize:
     def test_le_moves_bound(self):
         (c,) = canonicalize("<=", lin(1, 1), 1)
         assert c.lhs == lin(1, 1, const=-1)
-        assert c.origin.relation == "<=" and c.origin.bound == 1
 
     def test_ge_flips_sign(self):
         (c,) = canonicalize(">=", lin(1, 1), 1)
@@ -50,31 +50,6 @@ class TestCanonicalize:
     def test_non_integer_coefficients(self):
         with pytest.raises(ValueError, match="integer"):
             canonicalize("<=", lin(0.5), 1)
-
-
-class TestUnitSumTag:
-    def test_plain_sum(self):
-        (c,) = canonicalize("<=", lin(1, 1, 1), 2)
-        o = c.origin
-        assert o.unit_sum and o.sum_vars == (0, 1, 2)
-        assert o.sum_bound == 2 and o.sum_relation == "<="
-
-    def test_constant_folds_into_bound(self):
-        (c,) = canonicalize("<=", lin(1, 1) + 1, 2)
-        assert c.origin.unit_sum and c.origin.sum_bound == 1
-
-    def test_ge_direction(self):
-        (c,) = canonicalize(">=", lin(1, 1), 1)
-        assert c.origin.unit_sum and c.origin.sum_relation == ">="
-        assert c.origin.sum_bound == 1
-
-    def test_weighted_sum_is_not_unit(self):
-        (c,) = canonicalize("<=", lin(2, 1), 2)
-        assert not c.origin.unit_sum
-
-    def test_quadratic_is_not_unit(self):
-        (c,) = canonicalize("<=", Polynomial({(0, 1): 1.0}), 1)
-        assert not c.origin.unit_sum
 
 
 class TestProblem:
@@ -138,7 +113,8 @@ class TestBinarize:
         assert codec.decode({0: 1}) == {0: 0, 1: 1}
 
     def test_constraint_tags_recomputed(self):
-        # binary uniqueness survives; an integer bound becomes weighted
+        # The penalty is read off the rewritten lhs: binary uniqueness keeps
+        # its threshold penalty, an integer bound becomes a weighted sum.
         prob = Problem(
             (IntVar(0, 1), IntVar(1, 1), IntVar(2, 3)),
             Polynomial.zero(),
@@ -149,8 +125,9 @@ class TestBinarize:
         )
         binary, _ = binarize(prob)
         uni, cap = binary.constraints
-        assert uni.origin.unit_sum and uni.origin.sum_vars == (0, 1)
-        assert not cap.origin.unit_sum
+        assert cap.lhs == Polynomial.from_terms([((2,), 1), ((3,), 2), ((), -2)])
+        assert penalty_for(uni).poly == le_penalty([0, 1], 1).poly
+        assert penalty_for(cap).kind == KIND_PRODUCT
 
     def test_encode_rejects_unrepresentable(self):
         prob = Problem((IntVar(0, 2),), Polynomial.variable(0))
@@ -171,4 +148,4 @@ class TestBinarize:
 class TestConstraint:
     def test_integer_coefficients_enforced(self):
         with pytest.raises(ValueError):
-            Constraint(lin(1.2), canonicalize("<=", lin(1), 0)[0].origin)
+            Constraint(lin(1.2))

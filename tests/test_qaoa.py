@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puboqa import qaoa
-from puboqa.extbp import builtin_instance, to_pubo
+from puboqa.extbp import builtin_instance, encode
 from puboqa.pbf import COEFF_EPS, Polynomial
 from puboqa.qaoa import (
     BYTES_PER_STATE,
@@ -553,7 +553,7 @@ class TestRun:
     CFG = QaoaConfig(depth=1, n_shots=5, max_evals=25)
 
     def table(self):
-        return build_cost_table(to_pubo(builtin_instance("A")).poly, 7)
+        return build_cost_table(encode(builtin_instance("A"), "pubo").poly, 7)
 
     def test_replays_bit_identically(self):
         a = run(self.table(), self.CFG, seed=3)
@@ -594,7 +594,7 @@ class TestRun:
         assert all(0 <= b < np.pi for b in theta0[3:])
 
     def test_accepts_encoding_directly(self):
-        rec = run(to_pubo(builtin_instance("A")), self.CFG, seed=2)
+        rec = run(encode(builtin_instance("A"), "pubo"), self.CFG, seed=2)
         assert rec.n_qubits == 7
 
     def test_seed_from_config(self):

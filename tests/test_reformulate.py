@@ -7,13 +7,14 @@ from itertools import product
 
 import pytest
 
-from puboqa.model import Problem, IntVar, canonicalize
+from puboqa.model import Problem, IntVar, binarize, canonicalize
 from puboqa.pbf import Polynomial
 from puboqa.reformulate import (
     KIND_BINARY,
     KIND_PRODUCT,
     MAX_SYMMETRIC_VARS,
     PenaltyTerm,
+    compile_problem,
     compose_unconstrained,
     eq_penalty,
     ge_penalty,
@@ -389,6 +390,123 @@ class TestPenaltyRouting:
             total = total + penalty_for(con).poly
         assert total == eq_penalty([0, 1, 2], 1).poly
 
+    def test_plain_sum(self):
+        (con,) = canonicalize("<=", V(0) + V(1) + V(2), 2)
+        assert penalty_for(con).poly == le_penalty([0, 1, 2], 2).poly
+
+    def test_constant_folds_into_bound(self):
+        (con,) = canonicalize("<=", V(0) + V(1) + 1, 2)
+        assert penalty_for(con).poly == le_penalty([0, 1], 1).poly
+
+    def test_ge_direction(self):
+        (con,) = canonicalize(">=", V(0) + V(1), 1)
+        assert penalty_for(con).poly == ge_penalty([0, 1], 1).poly
+
+    def test_quadratic_uses_product(self):
+        (con,) = canonicalize("<=", Polynomial({(0, 1): 1.0}), 1)
+        assert penalty_for(con).kind == KIND_PRODUCT
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_gated_sum_splits_on_the_gate(self, b):
+        # y1 + y2 + y3 <= b + 2*x0, with the gate's id below the sum's
+        (con,) = canonicalize("<=", V(1) + V(2) + V(3) - 2 * V(0), b)
+        term = penalty_for(con)
+        x = V(0)
+        want = (1 - x) * le_penalty([1, 2, 3], b).poly + x * le_penalty([1, 2, 3], b + 2).poly
+        assert term.kind == KIND_BINARY
+        assert term.poly == want
+
+    def test_gated_sum_without_members_is_zero(self):
+        # A gate with nothing behind it: -3*x <= 0 always holds.
+        (con,) = canonicalize("<=", -3 * V(0), 0)
+        assert penalty_for(con).poly.is_zero()
+
+    @pytest.mark.parametrize(
+        "lhs,rhs",
+        [
+            (V(1) + V(2) + 2 * V(0), 1),  # positive gate coefficient
+            (V(1) + V(2) - 2 * V(0) - 2 * V(3), 0),  # two non-unit variables
+            (V(1) + V(2) - 2 * V(0), -1),  # b < 0
+            (V(1) + 2 * V(2) - 2 * V(0), 0),  # a weighted member
+        ],
+    )
+    def test_near_miss_gated_shapes_use_product(self, lhs, rhs):
+        (con,) = canonicalize("<=", lhs, rhs)
+        assert penalty_for(con).kind == KIND_PRODUCT
+
+
+class TestGatedSoundness:
+    """sum(Y) - c*x - b <= 0 gets a penalty that is the 0/1 indicator of violation."""
+
+    @pytest.mark.parametrize("size", range(7))
+    def test_exhaustive(self, size):
+        gate = size // 2
+        ys = [v for v in range(size + 1) if v != gate]
+        for c in range(1, 5):
+            for b in range(3):
+                lhs = Polynomial.from_terms([((v,), 1) for v in ys] + [((gate,), -c)])
+                (con,) = canonicalize("<=", lhs, b)
+                term = penalty_for(con)
+                assert term.kind == KIND_BINARY
+                for bits in all_assignments(size + 1):
+                    want = 0.0 if con.is_satisfied(bits) else 1.0
+                    assert term.poly.evaluate(bits) == want, (size, c, b, bits)
+
+
+class TestCompileProblem:
+    def problem(self):
+        cons = canonicalize("<=", V(0) + V(1) + V(2), 1) + canonicalize("<=", V(0) + V(1) - 2 * V(3), 0)
+        obj = Polynomial.from_terms(((i,), -1) for i in range(4))
+        return Problem(tuple(IntVar(i, 1) for i in range(4)), obj, tuple(cons))
+
+    def test_pubo_route_composes_penalty_for(self):
+        prob = self.problem()
+        poly, slack = compile_problem(prob, "pubo", [2.0, 3.5])
+        pens = [penalty_for(c).with_lambda(w) for c, w in zip(prob.constraints, [2.0, 3.5])]
+        assert poly == compose_unconstrained(prob.objective, pens)
+        assert slack == ((), ())
+
+    def test_qubo_route_counts_slack_ids_up(self):
+        prob = self.problem()
+        poly, slack = compile_problem(prob, "qubo", [2.0, 3.5])
+        first = slack_penalty(prob.constraints[0], first_slack_id=4)
+        second = slack_penalty(prob.constraints[1], first_slack_id=5)
+        assert slack == ((4,), (5, 6))
+        assert (first.slack_vars, second.slack_vars) == slack
+        want = compose_unconstrained(prob.objective, [first.with_lambda(2.0), second.with_lambda(3.5)])
+        assert poly == want
+        assert poly.degree <= 2
+
+    def test_refuses_integer_problems(self):
+        prob = Problem((IntVar(0, 3),), V(0), tuple(canonicalize("<=", V(0), 2)))
+        with pytest.raises(ValueError, match="binarize"):
+            compile_problem(prob, "pubo", [1.0])
+
+    @pytest.mark.parametrize(
+        "route,weights,msg",
+        [
+            ("pubo", [1.0], "shorter"),  # one weight per constraint
+            ("qubo", [1.0, 0.0], "positive"),
+            ("pubo", [-1.0, 1.0], "positive"),
+            ("ising", [1.0, 1.0], "formulation"),
+        ],
+    )
+    def test_bad_arguments(self, route, weights, msg):
+        with pytest.raises(ValueError, match=msg):
+            compile_problem(self.problem(), route, weights)
+
+    def test_compose_keeps_the_addition_order(self):
+        # Each monomial is summed as acc[m] + lam * c in penalty order:
+        # (0.1 + 0.7) + 0.3 is 1.0999999999999999, any other order gives 1.1.
+        obj = Polynomial({(0,): 0.1})
+        pens = [
+            PenaltyTerm(Polynomial({(0,): 0.7}), KIND_BINARY, lam=1.0),
+            PenaltyTerm(Polynomial({(0,): 0.3, (1,): 1.0}), KIND_BINARY, lam=1.0),
+        ]
+        out = compose_unconstrained(obj, pens)
+        assert out.terms == {(0,): (0.1 + 0.7) + 0.3, (1,): 1.0}
+        assert out.terms[(0,)] != 0.1 + (0.7 + 0.3)
+
 
 class TestEndToEndEquivalence:
     """Composing default-weight penalties preserves the feasible minimizers."""
@@ -438,3 +556,68 @@ class TestEndToEndEquivalence:
                 b for b in feasible if obj.evaluate(b) <= best_feasible + 1e-9
             }
             assert winners == want
+
+    @staticmethod
+    def random_program(rng):
+        n = rng.randint(2, 4)
+        obj = Polynomial.from_terms(((i,), rng.randint(-3, 3)) for i in range(n))
+        cons = []
+        for _ in range(rng.randint(1, 2)):
+            shape = rng.choice(["unit", "weighted", "gated"])
+            if shape == "gated":
+                gate = rng.randrange(n)
+                coeffs = [-rng.randint(1, 2) if i == gate else 1 for i in range(n)]
+                rel, rhs = "<=", rng.randint(0, 1)
+            else:
+                coeffs = [rng.randint(1, 2) if shape == "weighted" else 1 for _ in range(n)]
+                rel = rng.choice(["<=", ">="])
+                rhs = rng.randint(0 if rel == "<=" else 1, n)
+            lhs = Polynomial.from_terms(((i,), c) for i, c in enumerate(coeffs))
+            cons.extend(canonicalize(rel, lhs, rhs))
+        return Problem(tuple(IntVar(i, 1) for i in range(n)), obj, tuple(cons))
+
+    @staticmethod
+    def minimizers(poly, n, width):
+        """Projections onto the first n bits of every minimizer over width bits."""
+        vals = {bits: poly.evaluate(bits) for bits in all_assignments(width)}
+        low = min(vals.values())
+        return low, {b[:n] for b, v in vals.items() if v <= low + 1e-9}
+
+    @pytest.mark.parametrize("route", ["pubo", "qubo"])
+    def test_compile_problem_preserves_minimizers(self, route):
+        rng = random.Random(47)
+        checked = 0
+        while checked < 20:
+            prob = self.random_program(rng)
+            n = prob.num_variables
+            feasible = [
+                bits for bits in all_assignments(n)
+                if all(c.is_satisfied(bits) for c in prob.constraints)
+            ]
+            if not feasible:
+                continue
+            checked += 1
+            lam = lambda_default(prob.objective)
+            poly, slack = compile_problem(prob, route, [lam] * len(prob.constraints))
+            width = n + sum(len(ids) for ids in slack)
+            best = min(prob.objective.evaluate(b) for b in feasible)
+            low, winners = self.minimizers(poly, n, width)
+            assert low == pytest.approx(best, abs=1e-9)
+            assert winners == {b for b in feasible if prob.objective.evaluate(b) <= best + 1e-9}
+
+    @pytest.mark.parametrize("route", ["pubo", "qubo"])
+    def test_integer_program_through_binarize(self, route):
+        # u in [0, 3], v in [0, 2]: maximize 2u + 3v subject to u + v <= 3, u >= 1.
+        u, v = V(0), V(1)
+        cons = (
+            canonicalize("<=", u + v, 3)
+            + canonicalize(">=", u, 1)
+            + canonicalize("<=", v, 2)
+        )
+        prob = Problem((IntVar(0, 3), IntVar(1, 2)), -2 * u - 3 * v, tuple(cons))
+        binary, codec = binarize(prob)
+        lam = lambda_default(binary.objective)
+        poly, slack = compile_problem(binary, route, [lam] * len(binary.constraints))
+        n = binary.num_variables
+        _, winners = self.minimizers(poly, n, n + sum(len(ids) for ids in slack))
+        assert {tuple(codec.decode(bits).values()) for bits in winners} == {(1, 2)}

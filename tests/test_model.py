@@ -52,6 +52,18 @@ class TestCanonicalize:
             canonicalize("<=", lin(0.5), 1)
 
 
+class TestUnitSumTag:
+    def test_weighted_sum_is_not_unit(self):
+        # 2*x0 + x1 <= 2 keeps its weights, so it is not read as a unit sum:
+        # it gets the product penalty, zero exactly on the feasible points.
+        (c,) = canonicalize("<=", lin(2, 1), 2)
+        assert c.lhs == lin(2, 1, const=-2)
+        term = penalty_for(c)
+        assert term.kind == KIND_PRODUCT
+        for bits in product((0, 1), repeat=2):
+            assert (term.poly.evaluate(bits) == 0) == c.is_satisfied(bits)
+
+
 class TestProblem:
     def test_dense_ids_required(self):
         with pytest.raises(ValueError, match="declaration order"):

@@ -41,7 +41,7 @@ from .extbp import (
     objective_polynomial,
 )
 from .pbf import Polynomial
-from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory, run
+from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory, mixer_backend, run
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
 
@@ -151,16 +151,33 @@ def _single_thread_blas() -> None:
     The pool already runs one worker per requested thread; BLAS threads
     inside a worker would contend with the other workers for the same cores.
     """
+    setter = _openblas_function("set_num_threads")
+    if setter is not None:
+        setter.restype, setter.argtypes = None, [ctypes.c_int]
+        setter(1)
+
+
+def blas_core() -> str | None:
+    """The kernel family numpy's bundled OpenBLAS picked (say "SkylakeX"), or None."""
+    getter = _openblas_function("get_corename")
+    if getter is None:
+        return None
+    getter.restype, getter.argtypes = ctypes.c_char_p, []
+    return getter().decode()
+
+
+def _openblas_function(name: str):
+    """openblas_<name> from numpy's bundled OpenBLAS, under any of its symbol
+    prefixes and suffixes; None if the library or the symbol is absent."""
     libs = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "*openblas*"))
     for path in libs:
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.restype, setter.argtypes = None, [ctypes.c_int]
-                setter(1)
-                return
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
+            found = getattr(lib, symbol, None)
+            if found is not None:
+                return found
+    return None
 
 
 def _pool_run(job: tuple[int, int]):
@@ -258,6 +275,8 @@ def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path:
         "depth": cfg.qaoa.depth,
         "n_shots": cfg.qaoa.n_shots,
         "max_evals": cfg.qaoa.max_evals,
+        "mixer": mixer_backend(),
+        "blas_core": blas_core(),
         "cells": [s.to_obj() for s in summaries],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

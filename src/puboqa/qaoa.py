@@ -3,11 +3,24 @@
 The cost operator is diagonal, so it is applied as per-amplitude phases: the
 phase of each distinct table value is computed once and gathered through the
 table's inverse index. The mixer is the product of single-qubit rotations
-[[cos b, -i sin b], [-i sin b, cos b]]; it is fused into blocks of four
-qubits, each applied as one 16x16 matrix product between two statevector
-buffers (the topmost block covers the n mod 4 qubits left over). The mixer
-is the dominant cost at high qubit counts. A run allocates the two buffers
-once, as one workspace, and every evaluation prepares its state in it.
+[[cos b, -i sin b], [-i sin b, cos b]], and is the dominant cost at high
+qubit counts. A run allocates its statevector once, as a workspace, and
+every evaluation prepares its state in it.
+
+Each layer runs in a compiled kernel, _mixer.c, built with the local gcc on
+the first evolve of a process and loaded with ctypes. It works in place on
+one statevector: one sweep over cache-sized chunks writes or multiplies the
+phases and rotates the low qubits, a second sweep rotates the high qubits,
+each qubit as real butterflies. The build is cached in the package's
+__pycache__ (or, where that is not writable, in a private temporary
+directory), named by the sha256 of the source, the flags and the gcc
+version. The flags never include -march=native or FMA: every rotation is
+then the same multiplies and adds on every x86-64 machine, whichever of the
+avx2 and default clones runs, and no BLAS is involved. Without gcc, or if
+the build or the load fails, evolve takes the numpy path instead: blocks
+of four qubits, each one 16x16 matrix product between two statevector
+buffers (the topmost block covers the n mod 4 qubits left over). The two
+paths agree to rounding, not bit for bit.
 
 Shots are drawn by inverse CDF. On large states a two-level search sums
 the probability of each block of amplitudes in one pass and forms running
@@ -27,9 +40,17 @@ Basis-state convention: qubit k is bit k of the state index (little-endian).
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import math
 import os
+import shutil
+import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -225,15 +246,17 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     Starts from the uniform superposition; each layer multiplies amplitude z
     by exp(-i g values[z]) and then applies the mixer rotation to every
     qubit. With check_norm the squared norm is verified to 1e-9 after each
-    operator.
+    layer (on the numpy path also between its phase and its mixer); phase
+    and mixer are both unitary, so a drift in either shows there.
 
     Without a workspace the result is a freshly allocated complex
     statevector. A workspace is a C-contiguous complex128 array of shape
-    (2, 2^n) whose two rows serve as the mixer's two buffers; the state is
-    then computed in it without allocating, and the row that the last pass
-    leaves the state in is returned. A later call with the same workspace
-    overwrites that result. The arithmetic is the same either way, so the
-    two give bit-identical states.
+    (2, 2^n); the state is then computed in it without allocating, and the
+    row that holds it is returned: row 0 on the compiled path, which works
+    in place, and either row on the numpy path, which uses both as the
+    mixer's two buffers. A later call with the same workspace overwrites
+    that result. The arithmetic does not depend on the workspace, so with
+    and without one the states are bit-identical.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or len(params) % 2 != 0:
@@ -244,17 +267,35 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     n = table.num_qubits
     size = 1 << n
     uniq, inv = table._phase_basis()
+    kernel = _layer_kernel()
 
     if workspace is None:
-        first = np.empty(size, dtype=np.complex128)
-        second = np.empty_like(first)
-    else:
-        if not (isinstance(workspace, np.ndarray) and workspace.dtype == np.complex128
-                and workspace.shape == (2, size) and workspace.flags.c_contiguous):
-            raise ValueError(
-                f"workspace must be a C-contiguous complex128 array of shape (2, {size})"
-            )
-        first, second = workspace
+        workspace = np.empty((2 if kernel is None else 1, size), dtype=np.complex128)
+    elif not (isinstance(workspace, np.ndarray) and workspace.dtype == np.complex128
+              and workspace.shape == (2, size) and workspace.flags.c_contiguous):
+        raise ValueError(
+            f"workspace must be a C-contiguous complex128 array of shape (2, {size})"
+        )
+    if kernel is None:
+        return _evolve_numpy(params, uniq, inv, n, check_norm, workspace)
+    psi = workspace[0]
+    for layer in range(depth):
+        beta = params[depth + layer]
+        phase = np.exp(-1j * params[layer] * uniq)
+        if layer == 0:
+            phase *= 2.0 ** (-n / 2)
+        if kernel.puboqa_layer(psi.ctypes.data, n, phase.ctypes.data, inv.ctypes.data,
+                               layer == 0, math.cos(beta), math.sin(beta)):
+            raise MemoryError("the layer kernel could not allocate its buffer")
+        if check_norm:
+            _check_norm(psi)
+    return psi
+
+
+def _evolve_numpy(params, uniq, inv, n, check_norm, workspace) -> np.ndarray:
+    """evolve without the compiled kernel, in the two rows of workspace."""
+    depth = len(params) // 2
+    first, second = workspace
     # Every mixer pass swaps the two buffers; start in the one that the last
     # pass leaves the state in, so the result is the first buffer.
     passes = depth * -(-n // _BLOCK_QUBITS)
@@ -280,6 +321,85 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
         if check_norm:
             _check_norm(psi)
     return psi
+
+
+# How the layer kernel is built. No -march=native and no FMA: a fused
+# multiply-add rounds once where the source rounds twice, so the bits would
+# depend on the build machine.
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_CACHE = Path(__file__).resolve().parent / "__pycache__"
+_UNLOADED = object()
+# The kernel's library once loaded, None where it cannot be built or loaded.
+# (The library, not its function: a ctypes function is unhashable, and tools
+# that wrap module attributes look callables up in dicts.)
+_kernel = _UNLOADED
+
+
+def mixer_backend() -> str:
+    """Which path evolve takes: "compiled" (the layer kernel) or "numpy"."""
+    return "numpy" if _layer_kernel() is None else "compiled"
+
+
+def _layer_kernel():
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _load_kernel(_KERNEL_CACHE)
+    return _kernel
+
+
+def _load_kernel(cache: Path):
+    """Build the layer kernel into cache unless it is there, and bind it.
+
+    If the cache cannot be written or its build cannot be loaded, the
+    kernel is built again in a temporary directory that is removed once the
+    library is loaded. Returns None without gcc or if that fails too.
+    """
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        return None
+    try:
+        try:
+            return _bind(_build_kernel(gcc, cache))
+        except OSError:
+            with tempfile.TemporaryDirectory() as tmp:
+                return _bind(_build_kernel(gcc, Path(tmp)))
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+
+
+def _build_kernel(gcc: str, cache: Path, flags=_KERNEL_FLAGS) -> Path:
+    """The shared object of _mixer.c built with flags, compiled if not in cache.
+
+    Its name carries the sha256 of the source, the flags and the gcc
+    version. gcc writes to a temporary name that then replaces the final
+    one, so a process never loads a half-written file, even while another
+    builds the same one.
+    """
+    source = resources.files(__package__).joinpath("_mixer.c").read_bytes()
+    version = subprocess.run([gcc, "-dumpfullversion"], capture_output=True, check=True).stdout
+    key = hashlib.sha256(b"\0".join((source, " ".join(flags).encode(), version))).hexdigest()
+    path = cache / f"_mixer.{key[:16]}.so"
+    if path.exists():
+        return path
+    cache.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=cache)
+    os.close(fd)
+    try:
+        subprocess.run([gcc, *flags, "-x", "c", "-", "-o", tmp], input=source,
+                       capture_output=True, check=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return path
+
+
+def _bind(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    lib.puboqa_layer.restype = ctypes.c_int
+    lib.puboqa_layer.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_int, ctypes.c_double, ctypes.c_double)
+    return lib
 
 
 def _block_matrix(beta: float, k: int) -> np.ndarray:

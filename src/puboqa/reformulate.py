@@ -45,7 +45,10 @@ _KINDS = (KIND_BINARY, KIND_PRODUCT, KIND_SLACK, KIND_GADGET)
 # one about 2^(g+1). The cap refuses them before they are expanded: a PUBO
 # encode of one train serving 20 groups peaks at 1000 MiB under tracemalloc
 # on 64-bit CPython 3.11 (about 500 bytes per term), and each further
-# variable doubles that.
+# variable doubles that. compile_problem also refuses a pubo compile whose
+# threshold penalties together would write more than 2^(cap + 1) terms, as
+# many as one gated penalty at the cap: the penalties all stay alive until
+# they are composed, so their peaks add up.
 MAX_SYMMETRIC_VARS = 20
 DEFAULT_PRODUCT_CAP = 20
 
@@ -366,11 +369,19 @@ def compile_problem(
         raise ValueError(f"unknown formulation {route!r}; choose pubo or qubo")
     if not problem.is_binary():
         raise ValueError("compile_problem needs a binary problem; binarize it first")
+    shapes = [_threshold_shape(con) for con in problem.constraints] if route == "pubo" else []
+    terms = sum(_threshold_terms(shape) for shape in shapes)
+    if terms > 1 << (MAX_SYMMETRIC_VARS + 1):
+        raise ValueError(
+            f"the threshold penalties would expand to {terms} terms, more than the "
+            f"2^{MAX_SYMMETRIC_VARS + 1} of one gated penalty at the "
+            f"{MAX_SYMMETRIC_VARS}-variable cap"
+        )
     penalties: list[PenaltyTerm] = []
     next_id = problem.num_variables
-    for con, lam in zip(problem.constraints, weights, strict=True):
+    for i, (con, lam) in enumerate(zip(problem.constraints, weights, strict=True)):
         if route == "pubo":
-            term = penalty_for(con)
+            term = _shaped_penalty(con, shapes[i])
         else:
             term = slack_penalty(con, first_slack_id=next_id)
             next_id += len(term.slack_vars)
@@ -394,10 +405,30 @@ def penalty_for(c: Constraint) -> PenaltyTerm:
     A vacuous threshold yields the zero polynomial. Everything else, weighted
     sums and nonlinear lhs included, goes through product_penalty.
     """
+    return _shaped_penalty(c, _threshold_shape(c))
+
+
+def _shaped_penalty(c: Constraint, shape: tuple) -> PenaltyTerm:
+    kind, *args = shape
+    if kind == "le":
+        return le_penalty(*args)
+    if kind == "ge":
+        return ge_penalty(*args)
+    if kind == "gated":
+        ys, b, gate, g = args
+        return _gated_le_penalty(ys, gate, b, g)
+    if kind == "zero":
+        return PenaltyTerm(Polynomial.zero(), KIND_BINARY)
+    return product_penalty(c)
+
+
+def _threshold_shape(c: Constraint) -> tuple:
+    """How penalty_for reads c: ("le", vars, b), ("ge", vars, c),
+    ("gated", ys, b, gate, g), ("zero",) or ("product",)."""
     coeffs: dict[VarId, int] = {}
     for mono, coeff in c.lhs.terms.items():
         if len(mono) > 1:
-            return product_penalty(c)
+            return ("product",)
         if mono:
             coeffs[mono[0]] = int(round(coeff))
     ones = sorted(v for v, a in coeffs.items() if a == 1)
@@ -406,15 +437,36 @@ def penalty_for(c: Constraint) -> PenaltyTerm:
     if ones and not others:
         if b < 0:
             raise ValueError("constraint is unsatisfiable: sum below a negative bound")
-        return le_penalty(ones, b)
+        return ("le", ones, b)
     if others and not ones and all(a == -1 for _, a in others):
         if b >= 0:
-            return PenaltyTerm(Polynomial.zero(), KIND_BINARY)
-        return ge_penalty([v for v, _ in others], -b)
+            return ("zero",)
+        return ("ge", [v for v, _ in others], -b)
     if len(others) == 1 and others[0][1] <= -1 and b >= 0:
         (gate, a), = others
-        return _gated_le_penalty(ones, gate, b, -a)
-    return product_penalty(c)
+        return ("gated", ones, b, gate, -a)
+    return ("product",)
+
+
+def _threshold_terms(shape: tuple) -> int:
+    """How many monomials the penalty of a _threshold_shape writes out if
+    it is a threshold penalty (0 if not), counted before any is built.
+
+    A threshold over n variables with bound b writes the C(n, k) monomials
+    of each degree k past b (at-least: from b on, plus the constant); a
+    gated one writes those of its closed-gate threshold twice, with and
+    without the gate, and a few of them may then cancel. The per-penalty
+    variable cap is checked here too.
+    """
+    kind, *args = shape
+    if kind in ("zero", "product"):
+        return 0
+    ys, b = args[:2]
+    n = _check_threshold_args(ys, b)
+    past = sum(math.comb(n, k) for k in range(b + 1, n + 1))
+    if kind == "ge":
+        return 1 + past + math.comb(n, b)
+    return 2 * past if kind == "gated" else past
 
 
 def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> PenaltyTerm:

@@ -20,12 +20,13 @@ from puboqa.harness import (
     CSV_COLUMNS,
     THREADS_ENV_VAR,
     ExperimentConfig,
+    blas_core,
     run_experiment,
     write_rows_csv,
 )
 from puboqa.model import canonicalize
 from puboqa.pbf import Polynomial
-from puboqa.qaoa import QaoaConfig, build_cost_table, evolve, run
+from puboqa.qaoa import QaoaConfig, build_cost_table, evolve, mixer_backend, run
 from puboqa.reformulate import (
     eq_penalty,
     ge_penalty,
@@ -272,7 +273,8 @@ def test_criterion_7_formulation_comparison(tmp_path):
     cell = {(s.instance, s.formulation): s for s in summaries}
     issues = []
     if digest != GOLDEN_CSV_SHA256:
-        issues.append(f"CSV digest {digest} differs from the golden {GOLDEN_CSV_SHA256}")
+        issues.append(f"CSV digest {digest} differs from the golden {GOLDEN_CSV_SHA256} "
+                      f"(mixer {mixer_backend()}, BLAS core {blas_core()})")
     pieces = []
     for name in "ABC":
         pubo, qubo = cell[(name, "pubo")], cell[(name, "qubo")]

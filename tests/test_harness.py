@@ -28,6 +28,7 @@ from puboqa.harness import (
     write_rows_csv,
     write_summary_json,
     _resolve_threads,
+    blas_core,
     build_parser,
 )
 from puboqa import qaoa
@@ -129,17 +130,28 @@ class TestRunExperiment:
             ExperimentConfig(formulations=("ising",))
 
 
+# Workers import this script as their main module under every start method,
+# so where the compiled kernel is available the numpy mixer is refused in
+# them too: the pooled runs must take the compiled path.
 _POOL_SCRIPT = """
 import json
 import multiprocessing
 import sys
 
+from puboqa import qaoa
 from puboqa.harness import ExperimentConfig, run_experiment
+
+def refuse(*args):
+    raise AssertionError("a pool worker fell back to the numpy mixer")
+
+if qaoa.mixer_backend() == "compiled":
+    qaoa._apply_mixer = refuse
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
     cfg = ExperimentConfig(instances=("A",), formulations=("pubo",), runs=4, threads=2)
     rows, _ = run_experiment(cfg)
+    print(qaoa.mixer_backend())
     print(json.dumps([{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]))
 """
 
@@ -159,7 +171,9 @@ class TestPoolStartMethods:
         done = subprocess.run([sys.executable, str(script), method], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        pooled = json.loads(done.stdout)
+        backend, pooled = done.stdout.splitlines()
+        assert backend == qaoa.mixer_backend()
+        pooled = json.loads(pooled)
 
         serial, _ = run_experiment(ExperimentConfig(instances=("A",), formulations=("pubo",),
                                                     runs=4, threads=1))
@@ -197,6 +211,8 @@ class TestFileOutputs:
         write_summary_json(summaries, SMALL, path)
         payload = json.loads(path.read_text())
         assert payload["master_seed"] == 0 and payload["runs"] == 4
+        assert payload["mixer"] == qaoa.mixer_backend()
+        assert payload["blas_core"] == blas_core()
         assert len(payload["cells"]) == 2
         for cell in payload["cells"]:
             assert {"instance", "formulation", "qubit_count", "prop_optimal"} <= set(cell)
@@ -289,6 +305,19 @@ class TestCli:
         assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
         assert main(["verify", "--instance", str(path)]) == 2
         assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
+        assert time.perf_counter() - started < 30.0
+
+    def test_encode_wide_term_budget(self, tmp_path, capsys):
+        # Two trains serving the same MAX_SYMMETRIC_VARS groups: each capacity
+        # penalty fits the per-penalty cap, together they exceed the budget.
+        g = MAX_SYMMETRIC_VARS
+        obj = {"name": "two-wide", "num_groups": g, "cmax": 1,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": list(range(g))}] * 2}
+        path = tmp_path / "two-wide.json"
+        path.write_text(json.dumps(obj))
+        started = time.perf_counter()
+        assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
+        assert "terms, more than the 2^21" in capsys.readouterr().err
         assert time.perf_counter() - started < 30.0
 
     def test_solve_prints_classification(self, capsys):

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,10 +216,27 @@ def dense_evolve(params, values):
     return psi
 
 
+@pytest.fixture
+def compiled():
+    if qaoa.mixer_backend() != "compiled":
+        pytest.skip("the layer kernel cannot be built here")
+
+
+def random_table(n):
+    rng = np.random.default_rng(17 + n)
+    return CostTable(n, rng.integers(-4, 5, size=1 << n).astype(float))
+
+
+def random_params(seed, depth):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)])
+
+
 class TestEvolve:
+    """evolve on the default path: the compiled kernel wherever it builds."""
+
     def table(self, n):
-        rng = np.random.default_rng(17 + n)
-        return CostTable(n, rng.integers(-4, 5, size=1 << n).astype(float))
+        return random_table(n)
 
     def test_zero_gamma_keeps_uniform_probabilities(self):
         table = self.table(3)
@@ -233,10 +257,7 @@ class TestEvolve:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_against_dense_operators(self, n, depth):
         table = self.table(n)
-        rng = np.random.default_rng(100 * n + depth)
-        params = np.concatenate(
-            [rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)]
-        )
+        params = random_params(100 * n + depth, depth)
         got = evolve(params, table, check_norm=True)
         want = dense_evolve(params, table.values)
         assert np.allclose(got, want, atol=1e-12)
@@ -246,8 +267,7 @@ class TestEvolve:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_workspace_gives_the_same_state(self, n, depth):
         table = self.table(n)
-        rng = np.random.default_rng(7 * n + depth)
-        params = np.concatenate([rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)])
+        params = random_params(7 * n + depth, depth)
         ws = np.empty((2, 1 << n), dtype=np.complex128)
         got = evolve(params, table, workspace=ws)
         assert np.array_equal(got, evolve(params, table))
@@ -342,6 +362,176 @@ class TestEvolve:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             evolve([np.nan, 0.1], self.table(2))
+
+
+class TestEvolveNumpy(TestEvolve):
+    """Every TestEvolve test again, on the numpy fallback."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_mixer(self, monkeypatch):
+        monkeypatch.setattr(qaoa, "_kernel", None)
+
+
+def butterfly_evolve(params, table):
+    """The compiled kernel's arithmetic in numpy, one operation at a time.
+
+    Phases are gathered as evolve computes them; each later layer multiplies
+    them in as (ar pr - ai pi, ar pi + ai pr). Qubits 0..n-1 are then
+    rotated in order, each pair (a, b) as a' = (c ar + s bi, c ai - s br)
+    and b' = (c br + s ai, c bi - s ar), with c and s from math.cos and
+    math.sin. Every step is one rounded numpy operation, so this gives the
+    kernel's exact bits.
+    """
+    uniq, inv = table._phase_basis()
+    n = table.num_qubits
+    depth = len(params) // 2
+    re = im = None
+    for layer in range(depth):
+        phase = np.exp(-1j * params[layer] * uniq)
+        if layer == 0:
+            phase *= 2.0 ** (-n / 2)
+            re, im = phase.real[inv], phase.imag[inv]
+        else:
+            pr, pi = phase.real[inv], phase.imag[inv]
+            re, im = re * pr - im * pi, re * pi + im * pr
+        c, s = math.cos(params[depth + layer]), math.sin(params[depth + layer])
+        for q in range(n):
+            r, i = re.reshape(-1, 2, 1 << q), im.reshape(-1, 2, 1 << q)
+            ar, ai, br, bi = r[:, 0].copy(), i[:, 0].copy(), r[:, 1].copy(), i[:, 1].copy()
+            r[:, 0], i[:, 0] = c * ar + s * bi, c * ai - s * br
+            r[:, 1], i[:, 1] = c * br + s * ai, c * bi - s * ar
+    out = np.empty(1 << n, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def numpy_evolve(params, table, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(qaoa, "_kernel", None)
+        return evolve(params, table)
+
+
+def evolve_with(kernel, params, table, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(qaoa, "_kernel", kernel)
+        return evolve(params, table)
+
+
+_BUILD_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from puboqa import qaoa
+
+kernel = qaoa._load_kernel(Path(sys.argv[1]))
+assert kernel is not None
+table = qaoa.CostTable(14, np.arange(1 << 14, dtype=float) % 7)
+qaoa._kernel = kernel
+psi = qaoa.evolve([0.4, 1.1], table, check_norm=True)
+qaoa._kernel = None
+assert np.allclose(psi, qaoa.evolve([0.4, 1.1], table), rtol=0, atol=1e-15)
+print("ok")
+"""
+
+
+def python_env(**extra):
+    src = str(Path(qaoa.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+
+
+class TestLayerKernel:
+    """The compiled layer kernel: its arithmetic, its build and its fallback."""
+
+    # n = 1..14 covers every pairing of the low qubits and 1 high qubit;
+    # 17 and 20 take the high-qubit sweep with 4 and 7 qubits per slab.
+    @pytest.mark.parametrize("n", [*range(1, 15), 17, 20])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_matches_the_numpy_mixer(self, n, depth, compiled, monkeypatch):
+        table = random_table(n)
+        params = random_params(31 * n + depth, depth)
+        got = evolve(params, table, check_norm=True)
+        want = numpy_evolve(params, table, monkeypatch)
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 14, 15, 17])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_bits_of_the_documented_arithmetic(self, n, depth, compiled):
+        table = random_table(n)
+        params = random_params(13 * n + depth, depth)
+        got = evolve(params, table)
+        assert got.tobytes() == butterfly_evolve(params, table).tobytes()
+
+    def test_unvectorized_build_gives_the_same_bits(self, tmp_path, compiled, monkeypatch):
+        # A fused multiply-add in either build would change some bits.
+        flags = (*qaoa._KERNEL_FLAGS, "-fno-tree-vectorize")
+        scalar = qaoa._bind(qaoa._build_kernel(shutil.which("gcc"), tmp_path, flags))
+        for n in (1, 2, 3, 5, 12, 13, 14, 15, 20):
+            table = random_table(n)
+            for depth in (1, 2):
+                params = random_params(n + 50 * depth, depth)
+                vector = evolve(params, table).copy()
+                assert vector.tobytes() == evolve_with(scalar, params, table, monkeypatch).tobytes()
+
+    def test_without_a_compiler_numpy_takes_over(self, tmp_path):
+        code = ("import numpy as np\n"
+                "from puboqa import qaoa\n"
+                "psi = qaoa.evolve([0.4, 1.1], qaoa.CostTable(3, np.arange(8.0)), check_norm=True)\n"
+                "print(qaoa.mixer_backend(), psi.shape[0])\n")
+        done = subprocess.run([sys.executable, "-c", code], env=python_env(PATH=""), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["numpy", "8"]
+
+    def test_concurrent_builds_share_one_cache(self, tmp_path, compiled):
+        script = tmp_path / "build.py"
+        script.write_text(_BUILD_SCRIPT)
+        cache = tmp_path / "cache"
+        procs = [subprocess.Popen([sys.executable, str(script), str(cache)], env=python_env(),
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for _ in range(2)]
+        for proc in procs:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert out.strip() == "ok"
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+
+    def test_unwritable_cache_builds_privately(self, tmp_path, compiled, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        kernel = qaoa._load_kernel(blocker / "cache")
+        assert kernel is not None
+        assert list(tmp_path.iterdir()) == [blocker]
+        table = random_table(9)
+        params = random_params(9, 2)
+        assert evolve_with(kernel, params, table, monkeypatch).tobytes() == evolve(params, table).tobytes()
+
+    def test_failed_build_means_numpy(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise subprocess.CalledProcessError(1, "gcc")
+
+        monkeypatch.setattr(qaoa, "_build_kernel", fail)
+        assert qaoa._load_kernel(tmp_path) is None
+        monkeypatch.setattr(qaoa, "_kernel", qaoa._UNLOADED)
+        monkeypatch.setattr(qaoa, "_KERNEL_CACHE", tmp_path)
+        assert qaoa.mixer_backend() == "numpy"
+
+    def test_one_fresh_row(self, compiled):
+        # In place, a fresh evolve needs one statevector, not two.
+        table = random_table(16)
+        table._phase_basis()
+        tracemalloc.start()
+        try:
+            evolve([0.3, 0.9], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (16 << 16)
+
+    def test_source_ships_with_the_package(self):
+        assert resources.files("puboqa").joinpath("_mixer.c").is_file()
 
 
 class _StubRng:

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from puboqa.model import Problem, IntVar, binarize, canonicalize
+from puboqa import reformulate
 from puboqa.pbf import Polynomial
 from puboqa.reformulate import (
     KIND_BINARY,
@@ -494,6 +495,45 @@ class TestCompileProblem:
     def test_bad_arguments(self, route, weights, msg):
         with pytest.raises(ValueError, match=msg):
             compile_problem(self.problem(), route, weights)
+
+    @staticmethod
+    def gated_trains(count, groups):
+        """count trains x_t, each gating sum(y) <= x_t over its own groups y."""
+        cons = []
+        for t in range(count):
+            ys = range(count + t * groups, count + (t + 1) * groups)
+            lhs = Polynomial.from_terms([((v,), 1.0) for v in ys] + [((t,), -1.0)])
+            cons += canonicalize("<=", lhs, 0)
+        width = count * (groups + 1)
+        return Problem(tuple(IntVar(i, 1) for i in range(width)), Polynomial.zero(), tuple(cons))
+
+    def test_term_budget_spans_the_whole_encode(self, monkeypatch):
+        # A gated penalty at the cap writes 2^21 - 2 terms: one fits the
+        # budget and two do not. Nothing is expanded to find that out.
+        monkeypatch.setattr(reformulate, "_shaped_penalty",
+                            lambda c, shape: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
+        compile_problem(self.gated_trains(1, MAX_SYMMETRIC_VARS), "pubo", [1.0])
+        two = self.gated_trains(2, MAX_SYMMETRIC_VARS)
+        with pytest.raises(ValueError, match=rf"{2 * (2 ** 21 - 2)} terms.*2\^21"):
+            compile_problem(two, "pubo", [1.0, 1.0])
+        # Slack penalties are quadratic and take no part in the budget.
+        compile_problem(two, "qubo", [1.0, 1.0])
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    @pytest.mark.parametrize("b", range(0, 7))
+    def test_term_count_bounds_each_threshold(self, n, b):
+        # Exact for plain thresholds; for gated ones some terms may cancel.
+        ys = [((v,), 1.0) for v in range(1, n + 1)]
+        shapes = [
+            (canonicalize("<=", Polynomial.from_terms(ys), b), True),
+            (canonicalize(">=", Polynomial.from_terms(ys), b) if 1 <= b <= n else [], True),
+            (canonicalize("<=", Polynomial.from_terms(ys + [((0,), -1.0)]), b), False),
+        ]
+        for cons, exact in shapes:
+            for c in cons:
+                written = len(penalty_for(c).poly.terms)
+                counted = reformulate._threshold_terms(reformulate._threshold_shape(c))
+                assert counted == written if exact else written <= counted <= 2 * written + 2
 
     def test_compose_keeps_the_addition_order(self):
         # Each monomial is summed as acc[m] + lam * c in penalty order:

@@ -25,3 +25,19 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"puboqa.{mod}"), fn, None))
     ]
     assert not missing, f"perfbench/tracing.py wraps names puboqa no longer has: {missing}"
+
+
+def test_tracer_installs_over_the_loaded_program(tmp_path):
+    # The tracer looks every callable module attribute up in a dict, so the
+    # package may hold no unhashable callables, such as a ctypes function.
+    from puboqa import qaoa
+
+    qaoa.mixer_backend()
+    original = qaoa.evolve
+    tracer = load_tracing().Tracer(tmp_path)
+    tracer.install()
+    try:
+        assert qaoa.evolve.__wrapped__ is original
+    finally:
+        tracer.remove()
+    assert qaoa.evolve is original

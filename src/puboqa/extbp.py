@@ -60,6 +60,8 @@ class EbpInstance:
     def __post_init__(self):
         if isinstance(self.cmax, bool) or not isinstance(self.cmax, int) or self.cmax < 1:
             raise ValueError(f"cmax must be a positive int, got {self.cmax!r}")
+        if self.cmax > 2**53:  # declare writes -cmax as a float coefficient
+            raise ValueError("cmax exceeds 2^53, above which a float coefficient cannot hold it")
         if self.num_groups < 0:
             raise ValueError("num_groups must be non-negative")
         for i, t in enumerate(self.trains):
@@ -119,10 +121,13 @@ class EbpInstance:
 
 
 def _number(value, what: str) -> float:
-    """A JSON number as float; booleans and strings are refused."""
+    """A JSON number as float; booleans, strings and ints beyond float range are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def _whole(value, what: str) -> int:
@@ -169,12 +174,12 @@ def objective_value(inst: EbpInstance, a: EbpAssignment) -> float:
 
 def is_feasible(inst: EbpInstance, a: EbpAssignment) -> bool:
     _check_shape(inst, a)
-    boarded = [0] * inst.num_groups
+    boarded: dict[int, int] = {}
     carried = [0] * inst.num_trains
     for (i, j), yv in zip(inst.y_pairs, a.y):
-        boarded[j] += yv
+        boarded[j] = boarded.get(j, 0) + yv
         carried[i] += yv
-    if any(b > 1 for b in boarded):
+    if any(b > 1 for b in boarded.values()):
         return False
     return all(carried[i] <= inst.cmax * a.x[i] for i in range(inst.num_trains))
 
@@ -219,7 +224,7 @@ def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     # trains has limit 1; a train with groups has limit 0, and x_i takes off
     # its capacity, clamped to its group count so every slack fits in int8.
     by_group, by_train = _members(inst)
-    rows = [(None, bits) for bits in by_group if len(bits) > 1]
+    rows = [(None, bits) for bits in by_group.values() if len(bits) > 1]
     rows += [(i, bits) for i, bits in enumerate(by_train) if bits]
     flat: list[int] = []
     limit: list[int] = []
@@ -265,15 +270,18 @@ def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     return best, optima
 
 
-def _members(inst: EbpInstance) -> tuple[list[list[int]], list[list[int]]]:
-    """Variable ids of the y bits of each group and of each train, ascending."""
+def _members(inst: EbpInstance) -> tuple[dict[int, list[int]], list[list[int]]]:
+    """Variable ids of the y bits of each group and of each train, ascending.
+
+    Only groups that some train serves are keyed, in ascending id order.
+    """
     n = inst.num_trains
-    by_group: list[list[int]] = [[] for _ in range(inst.num_groups)]
+    by_group: dict[int, list[int]] = {}
     by_train: list[list[int]] = [[] for _ in range(n)]
     for k, (i, j) in enumerate(inst.y_pairs):
-        by_group[j].append(n + k)
+        by_group.setdefault(j, []).append(n + k)
         by_train[i].append(n + k)
-    return by_group, by_train
+    return dict(sorted(by_group.items())), by_train
 
 
 def _decode_index(n: int, q: int, z: int) -> EbpAssignment:
@@ -328,7 +336,7 @@ def declare(inst: EbpInstance) -> tuple[Problem, tuple[int, ...]]:
     """
     n = inst.num_trains
     by_group, by_train = _members(inst)
-    wide = tuple(j for j, ys in enumerate(by_group) if len(ys) >= 2)
+    wide = tuple(j for j, ys in by_group.items() if len(ys) >= 2)
     constraints = []
     for j in wide:
         lhs = Polynomial.from_terms(((v,), 1.0) for v in by_group[j])

@@ -301,7 +301,8 @@ def verify(ref: str, echo=print) -> list[tuple[str, bool, str]]:
     lam = default_lambda(inst)
     n, q = inst.num_trains, inst.num_y
     r_bits = inst.cmax.bit_length()
-    wide_groups = sum(1 for j in range(inst.num_groups) if len(inst.eligible_trains(j)) >= 2)
+    served = {j for _, j in inst.y_pairs}
+    wide_groups = sum(1 for j in served if len(inst.eligible_trains(j)) >= 2)
 
     expected = _EXPECTED_BUILTIN.get(ref.strip().upper())
     if expected:

@@ -17,10 +17,10 @@ directory), named by the sha256 of the source, the flags and the gcc
 version. The flags never include -march=native or FMA: every rotation is
 then the same multiplies and adds on every x86-64 machine, whichever of the
 avx2 and default clones runs, and no BLAS is involved. Without gcc, or if
-the build or the load fails, evolve takes the numpy path instead: blocks
-of four qubits, each one 16x16 matrix product between two statevector
-buffers (the topmost block covers the n mod 4 qubits left over). The two
-paths agree to rounding, not bit for bit.
+the build or the load fails, evolve takes the numpy path instead, which
+also works in place, chunk by chunk: blocks of four qubits, each one 16x16
+matrix product (the topmost block covers the n mod 4 qubits left over).
+The two paths agree to rounding, not bit for bit.
 
 Shots are drawn by inverse CDF. On large states a two-level search sums
 the probability of each block of amplitudes in one pass and forms running
@@ -59,12 +59,12 @@ from .pbf import Polynomial
 
 QUBIT_CAP = 26
 # Peak bytes per basis state of one process that builds a cost table and runs
-# QAOA on it: the table (8), the statevector workspace (32), the inverse index
+# QAOA on it: the table (8), the statevector workspace (16), the inverse index
 # (8) and, when every table value is distinct, the distinct values (8) and the
 # phase vector with its temporary (32). A tracemalloc peak over
-# build_cost_table plus run() at 17-20 qubits reads at most 88.1 bytes per
-# state (50.0 with few distinct values); rounded up.
-BYTES_PER_STATE = 90
+# build_cost_table plus run() at 17-20 qubits, on either mixer backend, reads
+# at most 72.2 bytes per state (34.0 with few distinct values); rounded up.
+BYTES_PER_STATE = 73
 # The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
 _TABLE_BLOCK_QUBITS = 16
 
@@ -229,11 +229,11 @@ def bits_string(state: int, num_qubits: int) -> str:
     return "".join("1" if (state >> k) & 1 else "0" for k in range(num_qubits))
 
 
-# The mixer is applied this many qubits at a time, as one 16x16 product.
+# The numpy mixer takes this many qubits at a time, as one 16x16 product.
 _BLOCK_QUBITS = 4
-# Rows per product in the lowest block: one product over the whole register
-# makes OpenBLAS grow its per-thread buffers with the operand.
-_ROW_CHUNK = 4096
+# The numpy layer works on chunks of 2^14 amplitudes (256 KiB), so its
+# temporaries stay well below a statevector from 16 qubits up.
+_CHUNK = 1 << 14
 # Hamming distance popcount(i ^ j) between the basis states of one block.
 _HAMMING = np.array(
     [[bin(i ^ j).count("1") for j in range(1 << _BLOCK_QUBITS)] for i in range(1 << _BLOCK_QUBITS)]
@@ -246,15 +246,13 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     Starts from the uniform superposition; each layer multiplies amplitude z
     by exp(-i g values[z]) and then applies the mixer rotation to every
     qubit. With check_norm the squared norm is verified to 1e-9 after each
-    layer (on the numpy path also between its phase and its mixer); phase
-    and mixer are both unitary, so a drift in either shows there.
+    layer; phase and mixer are both unitary, so a drift in either shows
+    there.
 
-    Without a workspace the result is a freshly allocated complex
-    statevector. A workspace is a C-contiguous complex128 array of shape
-    (2, 2^n); the state is then computed in it without allocating, and the
-    row that holds it is returned: row 0 on the compiled path, which works
-    in place, and either row on the numpy path, which uses both as the
-    mixer's two buffers. A later call with the same workspace overwrites
+    Each layer works in place on one statevector: the result is a freshly
+    allocated complex statevector, or, with a workspace (a C-contiguous
+    complex128 array of shape (2^n,)), the workspace itself, computed
+    without allocating. A later call with the same workspace overwrites
     that result. The arithmetic does not depend on the workspace, so with
     and without one the states are bit-identical.
     """
@@ -270,57 +268,75 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     kernel = _layer_kernel()
 
     if workspace is None:
-        workspace = np.empty((2 if kernel is None else 1, size), dtype=np.complex128)
+        workspace = np.empty(size, dtype=np.complex128)
     elif not (isinstance(workspace, np.ndarray) and workspace.dtype == np.complex128
-              and workspace.shape == (2, size) and workspace.flags.c_contiguous):
-        raise ValueError(
-            f"workspace must be a C-contiguous complex128 array of shape (2, {size})"
-        )
-    if kernel is None:
-        return _evolve_numpy(params, uniq, inv, n, check_norm, workspace)
-    psi = workspace[0]
+              and workspace.shape == (size,) and workspace.flags.c_contiguous):
+        raise ValueError(f"workspace must be a C-contiguous complex128 array of shape ({size},)")
+    psi = workspace
     for layer in range(depth):
         beta = params[depth + layer]
         phase = np.exp(-1j * params[layer] * uniq)
         if layer == 0:
             phase *= 2.0 ** (-n / 2)
-        if kernel.puboqa_layer(psi.ctypes.data, n, phase.ctypes.data, inv.ctypes.data,
-                               layer == 0, math.cos(beta), math.sin(beta)):
+        c, s = math.cos(beta), math.sin(beta)
+        if kernel is None:
+            _layer_numpy(psi, n, phase, inv, layer == 0, c, s)
+        elif kernel.puboqa_layer(psi.ctypes.data, n, phase.ctypes.data, inv.ctypes.data,
+                                 layer == 0, c, s):
             raise MemoryError("the layer kernel could not allocate its buffer")
         if check_norm:
             _check_norm(psi)
     return psi
 
 
-def _evolve_numpy(params, uniq, inv, n, check_norm, workspace) -> np.ndarray:
-    """evolve without the compiled kernel, in the two rows of workspace."""
-    depth = len(params) // 2
-    first, second = workspace
-    # Every mixer pass swaps the two buffers; start in the one that the last
-    # pass leaves the state in, so the result is the first buffer.
-    passes = depth * -(-n // _BLOCK_QUBITS)
-    if passes % 2 == 0:
-        psi, work = first, second
+def _layer_numpy(psi, n, phase, inv, first, c, s) -> None:
+    """puboqa_layer of _mixer.c in numpy: one layer in place on psi.
+
+    Amplitude z is set to phase[inv[z]] (first) or multiplied by it, then
+    the rotation [[c, -i s], [-i s, c]] is applied to every qubit, in blocks
+    of four from qubit 0 up, the last block holding the n mod 4 leftovers.
+    The lowest block is a row product (-1, 2^k) @ M; a block starting at
+    qubit q is M @ (-1, 2^k, 2^q). Each product runs on _CHUNK amplitudes
+    at a time and is written back into psi.
+    """
+    # The inverse index comes from np.unique, so it is always in range;
+    # mode="clip" lets np.take write straight into out.
+    if first:
+        np.take(phase, inv, out=psi, mode="clip")
     else:
-        psi, work = second, first
-    for layer in range(depth):
-        gamma = params[layer]
-        beta = params[depth + layer]
-        phase = np.exp(-1j * gamma * uniq)
-        # The inverse index comes from np.unique, so it is always in range;
-        # mode="clip" lets np.take write straight into out.
-        if layer == 0:
-            phase *= 2.0 ** (-n / 2)
-            np.take(phase, inv, out=psi, mode="clip")
+        for lo in range(0, len(psi), _CHUNK):
+            psi[lo:lo + _CHUNK] *= np.take(phase, inv[lo:lo + _CHUNK], mode="clip")
+    low = 0
+    while low < n:
+        k = min(_BLOCK_QUBITS, n - low)
+        block = _block_matrix(c, s, k)
+        if low == 0:
+            rows = psi.reshape(-1, 1 << k)
+            for row in range(0, len(rows), _CHUNK >> k):
+                part = rows[row:row + (_CHUNK >> k)]
+                part[...] = part @ block
         else:
-            np.take(phase, inv, out=work, mode="clip")
-            psi *= work
-        if check_norm:
-            _check_norm(psi)
-        psi, work = _apply_mixer(psi, work, beta, n)
-        if check_norm:
-            _check_norm(psi)
-    return psi
+            view = psi.reshape(-1, 1 << k, 1 << low)
+            # Whole (2^k, 2^low) slices while they fit in a chunk, else
+            # chunk-wide column ranges of one slice.
+            step = max(1, _CHUNK >> (k + low))
+            cols = min(1 << low, _CHUNK >> k)
+            for outer in range(0, len(view), step):
+                for col in range(0, 1 << low, cols):
+                    part = view[outer:outer + step, :, col:col + cols]
+                    part[...] = block @ part
+        low += k
+
+
+def _block_matrix(c: float, s: float, k: int) -> np.ndarray:
+    """The k-fold Kronecker power of the one-qubit mixer rotation.
+
+    Entry (i, j) is c^(k-h) (-i s)^h with h = popcount(i ^ j), for
+    c = cos b and s = sin b; the matrix is symmetric.
+    """
+    h = np.arange(k + 1)
+    w = c ** (k - h) * (-1j * s) ** h
+    return w[_HAMMING[: 1 << k, : 1 << k]]
 
 
 # How the layer kernel is built. No -march=native and no FMA: a fused
@@ -400,44 +416,6 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib.puboqa_layer.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
                                  ctypes.c_int, ctypes.c_double, ctypes.c_double)
     return lib
-
-
-def _block_matrix(beta: float, k: int) -> np.ndarray:
-    """The k-fold Kronecker power of the one-qubit mixer rotation.
-
-    Entry (i, j) is cos(b)^(k-h) (-i sin b)^h with h = popcount(i ^ j); the
-    matrix is symmetric.
-    """
-    h = np.arange(k + 1)
-    w = np.cos(beta) ** (k - h) * (-1j * np.sin(beta)) ** h
-    return w[_HAMMING[: 1 << k, : 1 << k]]
-
-
-def _apply_mixer(psi: np.ndarray, work: np.ndarray, beta: float, n: int):
-    """Apply exp(-i b X) to every qubit; returns (state, scratch).
-
-    Qubits are taken in blocks of four from qubit 0 up, the last block
-    holding the n mod 4 leftovers. Each block is one pass from psi into
-    work, after which the two swap roles. The lowest block is a row product
-    (-1, 2^k) @ M in chunks of _ROW_CHUNK rows; a block starting at qubit q
-    is a batched M @ (-1, 2^k, 2^q) product.
-    """
-    low = 0
-    while low < n:
-        k = min(_BLOCK_QUBITS, n - low)
-        block = _block_matrix(beta, k)
-        if low == 0:
-            src = psi.reshape(-1, 1 << k)
-            dst = work.reshape(-1, 1 << k)
-            for row in range(0, len(src), _ROW_CHUNK):
-                rows = slice(row, row + _ROW_CHUNK)
-                np.matmul(src[rows], block, out=dst[rows])
-        else:
-            shape = (-1, 1 << k, 1 << low)
-            np.matmul(block, psi.reshape(shape), out=work.reshape(shape))
-        psi, work = work, psi
-        low += k
-    return psi, work
 
 
 def _check_norm(psi: np.ndarray) -> None:
@@ -591,7 +569,7 @@ def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> R
 
     best_state = -1
     best_loss = np.inf
-    workspace = np.empty((2, 1 << table.num_qubits), dtype=np.complex128)
+    workspace = np.empty(1 << table.num_qubits, dtype=np.complex128)
 
     def loss(theta):
         nonlocal best_state, best_loss

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from itertools import product
 from unittest import mock
 
@@ -61,6 +62,40 @@ def small_instances(draw, max_bits=12):
         trains.append(Train(draw(money), draw(money), tuple(sorted(groups))))
     cmax = draw(st.sampled_from([1, 2, 3, 10**6]))
     return EbpInstance("drawn", num_groups, cmax, tuple(trains))
+
+
+# Arbitrary JSON values, with integers past float range and around 2^53.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.integers(2**53 - 2, 2**53 + 2)
+    | st.sampled_from([10**400, -(10**400), 2**1024, -(2**1024)]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def instance_objects(draw):
+    """Objects shaped like an instance, each field plausible or arbitrary JSON."""
+
+    def field(plausible):
+        return draw(st.one_of(plausible, JSON_VALUES))
+
+    money = st.one_of(st.integers(0, 5), st.floats(0, 5))
+    trains = [
+        {"cost": field(money), "benefit": field(money),
+         "groups": field(st.lists(st.integers(0, 8), max_size=3, unique=True).map(sorted))}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    obj = {
+        "name": field(st.text(max_size=4)),
+        "num_groups": field(st.one_of(st.integers(0, 9), st.just(10**400))),
+        "cmax": field(st.integers(1, 3)),
+        "trains": [field(st.just(t)) for t in trains],
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(obj)), max_size=1)):
+        del obj[key]
+    return obj
 
 
 class TestInstances:
@@ -126,6 +161,11 @@ class TestInstances:
             ("num_groups", False, "num_groups must be an integer"),
             ("group", 0.9, "group id must be an integer"),
             ("group", True, "group id must be an integer"),
+            pytest.param("cost", 10**400, "cost is too large", id="cost-huge-int"),
+            pytest.param("benefit", -(10**400), "benefit is too large", id="benefit-huge-int"),
+            pytest.param("cmax", 10**400, "2\\^53", id="cmax-huge-int"),
+            pytest.param("cmax", 2**53 + 1, "2\\^53", id="cmax-above-2^53"),
+            pytest.param("cmax", 1e300, "2\\^53", id="cmax-huge-float"),
         ],
     )
     def test_from_obj_refuses_coercion(self, field, value, msg):
@@ -145,6 +185,36 @@ class TestInstances:
         obj["cmax"] = 2.0
         obj["trains"][0]["groups"] = [0.0]
         assert EbpInstance.from_obj(obj) == builtin_instance("A")
+
+    def test_largest_exact_cmax_is_accepted(self):
+        obj = builtin_instance("A").to_obj()
+        obj["cmax"] = 2**53
+        inst = EbpInstance.from_obj(obj)
+        lhs = declare(inst)[0].constraints[-1].lhs
+        assert -lhs.terms[(2,)] == 2**53
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, instance_objects()))
+    def test_from_obj_accepts_or_raises_value_error(self, obj):
+        try:
+            inst = EbpInstance.from_obj(obj)
+        except ValueError:
+            return
+        assert EbpInstance.from_obj(inst.to_obj()) == inst
+        declare(inst)
+
+    def test_huge_num_groups_costs_nothing_extra(self):
+        # Only served groups are visited: 10^400 groups with three served
+        # give what the smallest num_groups that fits gives, at once.
+        trains = (Train(1.0, 2.0, (0, 5)), Train(1.0, 1.0, (5, 7)), Train(2.0, 2.0, (7,)))
+        huge = EbpInstance("huge", 10**400, 1, trains)
+        tight = EbpInstance("huge", 8, 1, trains)
+        started = time.perf_counter()
+        got = (brute_force(huge), exhaustive_optimum(huge),
+               [encode(huge, route) for route in ("pubo", "qubo")])
+        assert time.perf_counter() - started < 1.0
+        assert got == (brute_force(tight), exhaustive_optimum(tight),
+                       [encode(tight, route) for route in ("pubo", "qubo")])
 
 
 class TestFeasibilityAndObjective:

@@ -145,7 +145,7 @@ def refuse(*args):
     raise AssertionError("a pool worker fell back to the numpy mixer")
 
 if qaoa.mixer_backend() == "compiled":
-    qaoa._apply_mixer = refuse
+    qaoa._layer_numpy = refuse
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1])
@@ -242,6 +242,22 @@ class TestVerify:
         assert len(checks) == 6
         assert all(ok for _, ok, _ in checks)
 
+    def test_huge_num_groups_verifies_like_the_tight_count(self, tmp_path):
+        # Groups no train serves cost nothing: 10^400 of them verify at once.
+        obj = {"name": "sparse", "cmax": 1, "trains": [
+            {"cost": 1.0, "benefit": 2.0, "groups": [0, 5]},
+            {"cost": 1.0, "benefit": 1.0, "groups": [5, 7]},
+        ]}
+        results = []
+        for num_groups in (10**400, 8):
+            path = tmp_path / f"{len(str(num_groups))}.json"
+            path.write_text(json.dumps(dict(obj, num_groups=num_groups)))
+            started = time.perf_counter()
+            results.append(verify(str(path), echo=lambda _: None))
+            assert time.perf_counter() - started < 1.0
+        assert results[0] == results[1]
+        assert all(ok for _, ok, _ in results[0])
+
 
 class TestExport:
     def test_round_trip(self):
@@ -276,8 +292,10 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("cmax", 2.7), ("cmax", True), ("group", 0.9), ("cost", float("nan"))],
-        ids=["cmax-fraction", "cmax-bool", "group-fraction", "cost-nan"],
+        [("cmax", 2.7), ("cmax", True), ("group", 0.9), ("cost", float("nan")),
+         ("cost", 10**400), ("cmax", 10**400), ("cmax", 2**53 + 1)],
+        ids=["cmax-fraction", "cmax-bool", "group-fraction", "cost-nan",
+             "cost-huge-int", "cmax-huge-int", "cmax-above-2^53"],
     )
     def test_bad_instance_file_exits_2(self, tmp_path, capsys, field, value):
         obj = builtin_instance("A").to_obj()
@@ -290,6 +308,8 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         assert main(["verify", "--instance", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_oversized_threshold_refused_before_expansion(self, tmp_path, capsys):

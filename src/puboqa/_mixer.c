@@ -1,6 +1,6 @@
 /* One QAOA layer applied in place to a complex128 statevector.
  *
- * puboqa_layer(psi, n, phase, inv, first, c, s) sets amplitude z to
+ * puboqa_layer(psi, n, phase, inv, first, c, s, totals) sets amplitude z to
  * phase[inv[z]] (first != 0) or multiplies it by phase[inv[z]], then applies
  * [[c, -i s], [-i s, c]] to qubits 0, 1, ..., n-1 in that order. Each
  * rotation is the same few multiplies and adds for every amplitude, so the
@@ -8,18 +8,29 @@
  * as no multiply-add is fused: build without FMA and with
  * -ffp-contract=off.
  *
- * The first sweep takes chunks of 2^13 amplitudes: the phase step, then the
- * qubits below 13 while the chunk is in cache. The second sweep copies
- * slabs of 2^8 amplitudes from each of 2^7 rows into a buffer and applies up
- * to 7 higher qubits there. Returns 0, or -1 if the buffer cannot be had.
+ * Every rotation runs on split planes, the real parts in one array and the
+ * imaginary parts in another, so that a pass reads and writes whole rows of
+ * doubles. The first sweep takes chunks of 2^13 amplitudes: it gathers the
+ * phase step into the planes, rotates the qubits below 13 while the chunk
+ * is in cache, and interleaves the chunk back into psi. The second sweep
+ * de-interleaves slabs of 2^8 amplitudes from each of 2^7 rows into the
+ * planes, applies up to 7 higher qubits there, and interleaves them back.
+ *
+ * If totals is not NULL and n >= 10, the write-out that finishes the layer
+ * (the first sweep's for n <= 13, the last group's of the second sweep
+ * above) also sets totals[k] to the sum of |psi[z]|^2 over the k-th block of
+ * 2^10 amplitudes. Its order of additions is fixed, but not that of a
+ * sequential sum. Returns 0, or -1 if the planes cannot be allocated.
  */
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define CHUNK_QUBITS 13
 #define SLAB_QUBITS 8
 #define GROUP_QUBITS 7
+#define BLOCK_QUBITS 10
+/* Running sums of a block total, added together in lane order at the end. */
+#define LANES 8
 #define INLINE static inline __attribute__((always_inline))
 
 /* (a, b) <- (c a - i s b, c b - i s a) on real and imaginary parts. */
@@ -29,93 +40,162 @@
         br = c * br_ + s * ai_; bi = c * bi_ - s * ar_; \
     } while (0)
 
-/* Qubits q and q + 1 of len amplitudes, q first. */
-INLINE void pass2(double *x, size_t len, int q, double c, double s)
+/* Two qubits on four rows of count amplitudes, step elements apart: the
+ * lower qubit pairs rows (0, 1) and (2, 3), then the upper (0, 2) and (1, 3).
+ * Without restrict gcc does not vectorize these loops. */
+INLINE void quad(double *restrict r0, double *restrict i0, double *restrict r1, double *restrict i1,
+                 double *restrict r2, double *restrict i2, double *restrict r3, double *restrict i3,
+                 size_t count, size_t step, double c, double s)
 {
-    size_t h = (size_t)1 << q;
-    for (size_t base = 0; base < len; base += 4 * h)
-        for (size_t j = base; j < base + h; j++) {
-            double *p0 = x + 2 * j, *p1 = p0 + 2 * h, *p2 = p0 + 4 * h, *p3 = p0 + 6 * h;
-            double r0 = p0[0], i0 = p0[1], r1 = p1[0], i1 = p1[1];
-            double r2 = p2[0], i2 = p2[1], r3 = p3[0], i3 = p3[1];
-            ROTATE(r0, i0, r1, i1);
-            ROTATE(r2, i2, r3, i3);
-            ROTATE(r0, i0, r2, i2);
-            ROTATE(r1, i1, r3, i3);
-            p0[0] = r0; p0[1] = i0; p1[0] = r1; p1[1] = i1;
-            p2[0] = r2; p2[1] = i2; p3[0] = r3; p3[1] = i3;
-        }
+    for (size_t j = 0; j < count * step; j += step) {
+        double a0 = r0[j], b0 = i0[j], a1 = r1[j], b1 = i1[j];
+        double a2 = r2[j], b2 = i2[j], a3 = r3[j], b3 = i3[j];
+        ROTATE(a0, b0, a1, b1);
+        ROTATE(a2, b2, a3, b3);
+        ROTATE(a0, b0, a2, b2);
+        ROTATE(a1, b1, a3, b3);
+        r0[j] = a0; i0[j] = b0; r1[j] = a1; i1[j] = b1;
+        r2[j] = a2; i2[j] = b2; r3[j] = a3; i3[j] = b3;
+    }
 }
 
-INLINE void pass1(double *x, size_t len, int q, double c, double s)
+INLINE void pair(double *restrict r0, double *restrict i0, double *restrict r1, double *restrict i1,
+                 size_t count, double c, double s)
+{
+    for (size_t j = 0; j < count; j++) {
+        double a0 = r0[j], b0 = i0[j], a1 = r1[j], b1 = i1[j];
+        ROTATE(a0, b0, a1, b1);
+        r0[j] = a0; i0[j] = b0; r1[j] = a1; i1[j] = b1;
+    }
+}
+
+/* Qubits q and q + 1 of len amplitudes, q first. At q = 0 the four rows
+ * interleave, one element of each in every four. */
+INLINE void pass2(double *re, double *im, size_t len, int q, double c, double s)
+{
+    if (q == 0) {
+        quad(re, im, re + 1, im + 1, re + 2, im + 2, re + 3, im + 3, len / 4, 4, c, s);
+        return;
+    }
+    size_t h = (size_t)1 << q;
+    for (size_t base = 0; base < len; base += 4 * h) {
+        double *r = re + base, *i = im + base;
+        quad(r, i, r + h, i + h, r + 2 * h, i + 2 * h, r + 3 * h, i + 3 * h, h, 1, c, s);
+    }
+}
+
+INLINE void pass1(double *re, double *im, size_t len, int q, double c, double s)
 {
     size_t h = (size_t)1 << q;
     for (size_t base = 0; base < len; base += 2 * h)
-        for (size_t j = base; j < base + h; j++) {
-            double *p0 = x + 2 * j, *p1 = p0 + 2 * h;
-            double r0 = p0[0], i0 = p0[1], r1 = p1[0], i1 = p1[1];
-            ROTATE(r0, i0, r1, i1);
-            p0[0] = r0; p0[1] = i0; p1[0] = r1; p1[1] = i1;
-        }
+        pair(re + base, im + base, re + base + h, im + base + h, h, c, s);
 }
 
 /* Qubits lo..hi-1 of len amplitudes, two per pass. Passes at q = 0 and 2
  * take a constant q, so that their short inner loops unroll and vectorize. */
-INLINE void mix(double *x, size_t len, int lo, int hi, double c, double s)
+INLINE void mix(double *re, double *im, size_t len, int lo, int hi, double c, double s)
 {
     int q = lo;
     for (; q + 1 < hi; q += 2) {
         if (q == 0)
-            pass2(x, len, 0, c, s);
+            pass2(re, im, len, 0, c, s);
         else if (q == 2)
-            pass2(x, len, 2, c, s);
+            pass2(re, im, len, 2, c, s);
         else
-            pass2(x, len, q, c, s);
+            pass2(re, im, len, q, c, s);
     }
     if (q < hi)
-        pass1(x, len, q, c, s);
+        pass1(re, im, len, q, c, s);
+}
+
+INLINE void split(double *restrict re, double *restrict im, const double *restrict x, size_t len)
+{
+    for (size_t j = 0; j < len; j++) {
+        re[j] = x[2 * j];
+        im[j] = x[2 * j + 1];
+    }
+}
+
+INLINE void join(double *restrict x, const double *restrict re, const double *restrict im, size_t len)
+{
+    for (size_t j = 0; j < len; j++) {
+        x[2 * j] = re[j];
+        x[2 * j + 1] = im[j];
+    }
+}
+
+/* The sum of re[j]^2 + im[j]^2 over len (a multiple of LANES) amplitudes.
+ * (Summed in the loop that joins them, gcc vectorizes it badly.) */
+INLINE double total(const double *restrict re, const double *restrict im, size_t len)
+{
+    double acc[LANES] = {0};
+    for (size_t j = 0; j < len; j += LANES)
+        for (int k = 0; k < LANES; k++)
+            acc[k] += re[j + k] * re[j + k] + im[j + k] * im[j + k];
+    double sum = acc[0];
+    for (int k = 1; k < LANES; k++)
+        sum += acc[k];
+    return sum;
 }
 
 __attribute__((target_clones("avx2", "default")))
 int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
-                 int first, double c, double s)
+                 int first, double c, double s, double *totals)
 {
     int low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
     size_t size = (size_t)1 << n, chunk = (size_t)1 << low, slab = (size_t)1 << SLAB_QUBITS;
+    size_t block = (size_t)1 << BLOCK_QUBITS;
+    size_t planes = n > CHUNK_QUBITS ? slab << GROUP_QUBITS : chunk;
+    if (n < BLOCK_QUBITS)
+        totals = NULL;
 
+    double *re = malloc(sizeof(double) * 2 * planes);
+    if (re == NULL)
+        return -1;
+    double *im = re + planes;
     for (size_t o = 0; o < size; o += chunk) {
         double *x = psi + 2 * o;
-        for (size_t z = 0; z < chunk; z++) {
-            const double *p = phase + 2 * inv[o + z];
-            if (first) {
-                x[2 * z] = p[0];
-                x[2 * z + 1] = p[1];
-            } else {
-                double ar = x[2 * z], ai = x[2 * z + 1];
-                x[2 * z] = ar * p[0] - ai * p[1];
-                x[2 * z + 1] = ar * p[1] + ai * p[0];
+        const intptr_t *k = inv + o;
+        if (first)
+            for (size_t z = 0; z < chunk; z++) {
+                re[z] = phase[2 * k[z]];
+                im[z] = phase[2 * k[z] + 1];
             }
-        }
-        mix(x, chunk, 0, low, c, s);
+        else
+            for (size_t z = 0; z < chunk; z++) {
+                double ar = x[2 * z], ai = x[2 * z + 1];
+                double pr = phase[2 * k[z]], pi = phase[2 * k[z] + 1];
+                re[z] = ar * pr - ai * pi;
+                im[z] = ar * pi + ai * pr;
+            }
+        mix(re, im, chunk, 0, low, c, s);
+        join(x, re, im, chunk);
+        if (totals != NULL && n <= CHUNK_QUBITS)
+            for (size_t b = 0; b < chunk; b += block)
+                totals[(o + b) >> BLOCK_QUBITS] = total(re + b, im + b, block);
     }
-    if (n <= CHUNK_QUBITS)
-        return 0;
 
-    double *buf = malloc(sizeof(double) * 2 * (slab << GROUP_QUBITS));
-    if (buf == NULL)
-        return -1;
     for (int lo = CHUNK_QUBITS; lo < n; lo += GROUP_QUBITS) {
         int g = n - lo < GROUP_QUBITS ? n - lo : GROUP_QUBITS;
+        int last = totals != NULL && lo + g == n;
         size_t rows = (size_t)1 << g, stride = (size_t)1 << lo;
         for (size_t outer = 0; outer < size; outer += rows * stride)
             for (size_t col = outer; col < outer + stride; col += slab) {
                 for (size_t r = 0; r < rows; r++)
-                    memcpy(buf + 2 * r * slab, psi + 2 * (col + r * stride), sizeof(double) * 2 * slab);
-                mix(buf, rows * slab, SLAB_QUBITS, SLAB_QUBITS + g, c, s);
-                for (size_t r = 0; r < rows; r++)
-                    memcpy(psi + 2 * (col + r * stride), buf + 2 * r * slab, sizeof(double) * 2 * slab);
+                    split(re + r * slab, im + r * slab, psi + 2 * (col + r * stride), slab);
+                mix(re, im, rows * slab, SLAB_QUBITS, SLAB_QUBITS + g, c, s);
+                for (size_t r = 0; r < rows; r++) {
+                    size_t z = col + r * stride;
+                    join(psi + 2 * z, re + r * slab, im + r * slab, slab);
+                    if (!last)
+                        continue;
+                    /* A block is four slabs of one row, in column order. */
+                    double t = total(re + r * slab, im + r * slab, slab);
+                    size_t k = z >> BLOCK_QUBITS;
+                    totals[k] = (z & (block - 1)) ? totals[k] + t : t;
+                }
             }
     }
-    free(buf);
+    free(re);
     return 0;
 }

@@ -362,8 +362,9 @@ def encode(inst: EbpInstance, formulation: str,
         lam = default_lambda(inst)
         lam_uni = lam if lam_uni is None else lam_uni
         lam_capa = lam if lam_capa is None else lam_capa
-    if not (lam_uni > 0 and lam_capa > 0):
-        raise ValueError("penalty weights must be positive")
+    if not (0 < lam_uni < math.inf and 0 < lam_capa < math.inf):
+        raise ValueError(f"penalty weights must be positive and finite, "
+                         f"got {lam_uni} and {lam_capa}")
     problem, wide = declare(inst)
     weights = [lam_uni] * len(wide) + [lam_capa] * inst.num_trains
     poly, slack = compile_problem(problem, formulation, weights)

@@ -44,6 +44,19 @@ class Polynomial:
         self._terms = {m: c for m, c in acc.items() if abs(c) >= COEFF_EPS}
 
     @classmethod
+    def _from_normalized(cls, terms: dict[Monomial, float]) -> Polynomial:
+        """The polynomial of terms whose keys are already monomials (strictly
+        sorted tuples of valid ids) and whose coefficients are floats.
+
+        Only coefficients below COEFF_EPS are dropped; nothing is re-sorted
+        or checked. For arithmetic on polynomials, whose keys are monomials
+        by construction.
+        """
+        poly = cls.__new__(cls)
+        poly._terms = {m: c for m, c in terms.items() if abs(c) >= COEFF_EPS}
+        return poly
+
+    @classmethod
     def zero(cls) -> Polynomial:
         return cls()
 
@@ -61,7 +74,7 @@ class Polynomial:
         for key, coeff in terms:
             mono = _normalize_key(key)
             acc[mono] = acc.get(mono, 0.0) + float(coeff)
-        return cls(acc)
+        return cls._from_normalized(acc)
 
     @property
     def terms(self) -> dict[Monomial, float]:
@@ -94,7 +107,7 @@ class Polynomial:
         acc = dict(self._terms)
         for m, c in other._terms.items():
             acc[m] = acc.get(m, 0.0) + c
-        return Polynomial(acc)
+        return Polynomial._from_normalized(acc)
 
     __radd__ = __add__
 
@@ -105,11 +118,12 @@ class Polynomial:
         return _as_poly(other) + (-self)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._from_normalized({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: Polynomial | _Number) -> Polynomial:
         if isinstance(other, (int, float)):
-            return Polynomial({m: c * other for m, c in self._terms.items()})
+            other = float(other)
+            return Polynomial._from_normalized({m: c * other for m, c in self._terms.items()})
         acc: dict[Monomial, float] = {}
         for m1, c1 in self._terms.items():
             s1 = set(m1)

@@ -10,8 +10,11 @@ every evaluation prepares its state in it.
 Each layer runs in a compiled kernel, _mixer.c, built with the local gcc on
 the first evolve of a process and loaded with ctypes. It works in place on
 one statevector: one sweep over cache-sized chunks writes or multiplies the
-phases and rotates the low qubits, a second sweep rotates the high qubits,
-each qubit as real butterflies. The build is cached in the package's
+phases and rotates the low qubits, a second sweep rotates the high qubits
+on copied slabs, each qubit as real butterflies on split planes of real
+and imaginary parts. While it writes out the last layer, the kernel also
+sums the probability of each block of amplitudes that the sampler's
+two-level search uses. The build is cached in the package's
 __pycache__ (or, where that is not writable, in a private temporary
 directory), named by the sha256 of the source, the flags and the gcc
 version. The flags never include -march=native or FMA: every rotation is
@@ -22,11 +25,12 @@ also works in place, chunk by chunk: blocks of four qubits, each one 16x16
 matrix product (the topmost block covers the n mod 4 qubits left over).
 The two paths agree to rounding, not bit for bit.
 
-Shots are drawn by inverse CDF. On large states a two-level search sums
-the probability of each block of amplitudes in one pass and forms running
-sums only inside the blocks that the draws land in; it returns exactly the
-indices of one sequential running sum over the whole state, falling back
-to that sum when a draw lies within its rounding error of a CDF value.
+Shots are drawn by inverse CDF. On large states a two-level search takes
+the probability of each block of amplitudes (summed by the kernel, or in
+one numpy pass) and forms running sums only inside the blocks that the
+draws land in; it returns exactly the indices of one sequential running
+sum over the whole state, falling back to that sum when a draw lies within
+its rounding error of a CDF value.
 
 Training follows the shot protocol: every optimizer evaluation prepares the
 state for the current parameters, samples a handful of basis states, and
@@ -240,7 +244,8 @@ _HAMMING = np.array(
 )
 
 
-def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None) -> np.ndarray:
+def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None,
+           totals=None) -> np.ndarray:
     """Prepare the depth-p QAOA state for params = (g_1..g_p, b_1..b_p).
 
     Starts from the uniform superposition; each layer multiplies amplitude z
@@ -255,6 +260,12 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     without allocating. A later call with the same workspace overwrites
     that result. The arithmetic does not depend on the workspace, so with
     and without one the states are bit-identical.
+
+    totals, from 10 qubits up, is a C-contiguous float64 array of shape
+    (2^n / _SAMPLE_BLOCK,) that receives the probability total of each
+    block of _SAMPLE_BLOCK amplitudes of the result, for sample(). The
+    compiled kernel sums them while it writes out the last layer, the
+    numpy path in one pass afterwards; the state is the same either way.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or len(params) % 2 != 0:
@@ -269,10 +280,14 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
 
     if workspace is None:
         workspace = np.empty(size, dtype=np.complex128)
-    elif not (isinstance(workspace, np.ndarray) and workspace.dtype == np.complex128
-              and workspace.shape == (size,) and workspace.flags.c_contiguous):
+    elif not _is_row(workspace, np.complex128, size):
         raise ValueError(f"workspace must be a C-contiguous complex128 array of shape ({size},)")
+    if totals is not None and not (size >= _SAMPLE_BLOCK
+                                   and _is_row(totals, np.float64, size // _SAMPLE_BLOCK)):
+        raise ValueError(f"totals must be a C-contiguous float64 array of one entry per "
+                         f"{_SAMPLE_BLOCK} amplitudes")
     psi = workspace
+    totals_ptr = None if totals is None else totals.ctypes.data
     for layer in range(depth):
         beta = params[depth + layer]
         phase = np.exp(-1j * params[layer] * uniq)
@@ -282,11 +297,18 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
         if kernel is None:
             _layer_numpy(psi, n, phase, inv, layer == 0, c, s)
         elif kernel.puboqa_layer(psi.ctypes.data, n, phase.ctypes.data, inv.ctypes.data,
-                                 layer == 0, c, s):
+                                 layer == 0, c, s, totals_ptr if layer == depth - 1 else None):
             raise MemoryError("the layer kernel could not allocate its buffer")
         if check_norm:
             _check_norm(psi)
+    if kernel is None and totals is not None:
+        _block_totals(psi, totals)
     return psi
+
+
+def _is_row(a, dtype, length: int) -> bool:
+    return (isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (length,)
+            and a.flags.c_contiguous)
 
 
 def _layer_numpy(psi, n, phase, inv, first, c, s) -> None:
@@ -414,7 +436,7 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.puboqa_layer.restype = ctypes.c_int
     lib.puboqa_layer.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_int, ctypes.c_double, ctypes.c_double)
+                                 ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
     return lib
 
 
@@ -431,7 +453,8 @@ _SAMPLE_MIN_BLOCKS = 4
 _SEQUENTIAL_CHUNK = 1 << 12
 
 
-def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndarray:
+def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator, *,
+           totals=None) -> np.ndarray:
     """Draw n_shots basis indices from |amplitude|^2 by inverse CDF.
 
     The indices are those of the sequential sampler (_sample_sequential):
@@ -440,18 +463,25 @@ def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndar
     call. The state is read as complex128.
 
     A state of N >= _SAMPLE_MIN_BLOCKS * _SAMPLE_BLOCK amplitudes takes a
-    two-level search. One pass sums the probability of each block of
-    _SAMPLE_BLOCK amplitudes; the running sum of these block totals locates
-    each draw's block; the running sum of probabilities is then formed only
-    inside the drawn blocks, each once, offset by the total before the
-    block. Both the sequential running sum and this two-level one lie within
-    gamma_(N+2) * total of the exact prefix sums (gamma_k = k u / (1 - k u),
-    u = 2^-53; from 4 blocks on, fewer than N + 2 roundings lie behind any
-    two-level value). A draw farther than 4 (N + 2) u max(1, total) from
-    both neighbouring two-level values therefore gets the same index from
-    the sequential sampler. If any draw is that close, or falls in the
-    rounding gap between a block's last running sum and the block total,
-    the call is answered by the sequential sampler instead.
+    two-level search. It needs the probability total of each block of
+    _SAMPLE_BLOCK amplitudes: totals, as evolve wrote them for this state,
+    or else one numpy pass over the state. The running sum of the block
+    totals locates each draw's block; the running sum of probabilities is
+    then formed only inside the drawn blocks, each once, offset by the
+    total before the block. Both the sequential running sum and this
+    two-level one lie within gamma_(N+2) * total of the exact prefix sums
+    (gamma_k = k u / (1 - k u), u = 2^-53). That holds in whatever order
+    a block total adds its terms, numpy's order or the kernel's lanes and
+    slabs: a total of B = _SAMPLE_BLOCK amplitudes adds 2B squares, so at
+    most 2B roundings lie behind each of its terms; the running sum over
+    the N / B block totals and the offset add at most N / B more, so from
+    4 blocks on fewer than N + 2 lie behind any two-level value (at most
+    B + 1 behind a term of the drawn block). A draw farther than
+    4 (N + 2) u max(1, total) from both neighbouring two-level values
+    therefore gets the same index from the sequential sampler. If any draw
+    is that close, or falls in the rounding gap between a block's last
+    running sum and the block total, the call is answered by the
+    sequential sampler instead.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be at least 1")
@@ -460,8 +490,12 @@ def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndar
     size = len(state)
     if size < _SAMPLE_MIN_BLOCKS * _SAMPLE_BLOCK:
         return _sample_sequential(state, draws)
-    f = state.view(np.float64).reshape(-1, 2 * _SAMPLE_BLOCK)
-    ends = np.cumsum(np.einsum("ij,ij->i", f, f))
+    if totals is None:
+        totals = _block_totals(state)
+    elif np.shape(totals) != (size // _SAMPLE_BLOCK,):
+        raise ValueError(f"expected {size // _SAMPLE_BLOCK} block totals, "
+                         f"got shape {np.shape(totals)}")
+    ends = np.cumsum(totals)
     tol = 4.0 * (size + 2) * 2.0 ** -53 * max(1.0, ends[-1])
     last = len(ends) - 1
     blocks = np.minimum(np.searchsorted(ends, draws, side="right"), last)
@@ -483,6 +517,12 @@ def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator) -> np.ndar
             return _sample_sequential(state, draws)
         idx[mine] = b * _SAMPLE_BLOCK + local
     return np.minimum(idx, size - 1)
+
+
+def _block_totals(state: np.ndarray, out=None) -> np.ndarray:
+    """The probability total of each block of _SAMPLE_BLOCK amplitudes."""
+    f = state.view(np.float64).reshape(-1, 2 * _SAMPLE_BLOCK)
+    return np.einsum("ij,ij->i", f, f, out=out)
 
 
 def _sample_sequential(state: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -548,7 +588,9 @@ def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> R
     [0, 2pi), then all betas uniform on [0, pi), then the shot draws of each
     evaluation in order. Identical (target, config, seed) triples therefore
     give identical records apart from wall_ms. Every evaluation prepares its
-    state in one workspace allocated for the run (see evolve).
+    state in one workspace allocated for the run (see evolve); on states
+    large enough for the sampler's two-level search, evolve also writes the
+    block totals that sample then reads.
     """
     if isinstance(target, CostTable):
         table = target
@@ -569,12 +611,14 @@ def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> R
 
     best_state = -1
     best_loss = np.inf
-    workspace = np.empty(1 << table.num_qubits, dtype=np.complex128)
+    size = 1 << table.num_qubits
+    workspace = np.empty(size, dtype=np.complex128)
+    totals = np.empty(size // _SAMPLE_BLOCK) if size >= _SAMPLE_MIN_BLOCKS * _SAMPLE_BLOCK else None
 
     def loss(theta):
         nonlocal best_state, best_loss
-        psi = evolve(theta, table, workspace=workspace)
-        drawn = sample(psi, config.n_shots, rng)
+        psi = evolve(theta, table, workspace=workspace, totals=totals)
+        drawn = sample(psi, config.n_shots, rng, totals=totals)
         drawn_values = table.values[drawn]
         k = int(np.argmin(drawn_values))
         if drawn_values[k] < best_loss:

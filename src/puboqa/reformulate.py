@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .model import INT_EPS, Constraint, Problem
-from .pbf import Monomial, Polynomial, VarId
+from .pbf import Monomial, Polynomial, VarId, _normalize_key
 
 KIND_BINARY = "binary-valued"
 KIND_PRODUCT = "product-form"
@@ -71,8 +71,8 @@ class PenaltyTerm:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if not self.lam > 0:
-            raise ValueError(f"penalty weight must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"penalty weight must be positive and finite, got {self.lam}")
 
     def with_lambda(self, lam: float) -> PenaltyTerm:
         return replace(self, lam=lam)
@@ -164,7 +164,8 @@ def ge_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
 
 
 def _check_threshold_args(vars: Sequence[VarId], c: int) -> int:
-    if len(set(vars)) != len(vars):
+    # _combine builds its terms without re-checking the ids; check them here.
+    if len(_normalize_key(vars)) != len(vars):
         raise ValueError("threshold penalties need distinct variables")
     if len(vars) > MAX_SYMMETRIC_VARS:
         raise ValueError(
@@ -201,7 +202,7 @@ def _combine(e: list[dict[Monomial, float]], weights: dict[int, float]) -> Polyn
             continue
         for mono in e[k]:
             acc[mono] = acc.get(mono, 0.0) + w
-    return Polynomial(acc)
+    return Polynomial._from_normalized(acc)
 
 
 # product penalty -------------------------------------------------------------
@@ -339,17 +340,17 @@ def compose_unconstrained(objective: Polynomial, penalties: Iterable[PenaltyTerm
     """objective + sum of lam * penalty over all terms, as one Polynomial.
 
     The terms are summed into one dict, each monomial as acc[m] + lam * c in
-    penalty order, and normalized once at the end, where monomials whose
-    total is below COEFF_EPS are dropped.
+    penalty order; at the end monomials whose total is below COEFF_EPS are
+    dropped. The keys are those of the polynomials, so none is re-sorted.
     """
     acc = dict(objective.terms)
     for term in penalties:
-        lam = term.lam
-        if not lam > 0:
-            raise ValueError("penalty weights must be positive")
+        lam = float(term.lam)
+        if not 0 < lam < math.inf:
+            raise ValueError("penalty weights must be positive and finite")
         for mono, coeff in term.poly.terms.items():
             acc[mono] = acc.get(mono, 0.0) + lam * coeff
-    return Polynomial(acc)
+    return Polynomial._from_normalized(acc)
 
 
 def compile_problem(

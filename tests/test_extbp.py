@@ -567,6 +567,18 @@ class TestEncodeDispatcher:
         with pytest.raises(ValueError, match="positive"):
             encode(inst, "qubo", lam_capa=-1.0)
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_non_finite_lambda_rejected(self, lam):
+        inst = builtin_instance("A")
+        with pytest.raises(ValueError, match="finite"):
+            encode(inst, "pubo", lam_uni=lam)
+        with pytest.raises(ValueError, match="finite"):
+            encode(inst, "qubo", lam_capa=lam)
+        # A weight no constraint uses is refused all the same.
+        lone = EbpInstance("X", 2, 2, (Train(1.0, 1.0, (0, 1)),))
+        with pytest.raises(ValueError, match="finite"):
+            encode(lone, "pubo", lam_uni=lam)
+
     @pytest.mark.parametrize("kind", ["pubo", "qubo"])
     def test_nonpositive_lambda_rejected_without_uniqueness_constraints(self, kind):
         inst = EbpInstance("X", 2, 2, (Train(1.0, 1.0, (0, 1)),))

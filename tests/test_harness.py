@@ -312,6 +312,34 @@ class TestCli:
         assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_infinite_default_weight_exits_2(self, tmp_path, capsys):
+        # Costs of 1e308 are valid floats, but the objective's width + 1,
+        # the default penalty weight, overflows to inf.
+        obj = {"name": "huge", "num_groups": 2, "cmax": 1,
+               "trains": [{"cost": 1e308, "benefit": 1e308, "groups": [0, 1]},
+                          {"cost": 1e308, "benefit": 1.0, "groups": [0]}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        with pytest.warns(RuntimeWarning, match="overflow"):  # brute force sums to inf
+            assert main(["verify", "--instance", str(path)]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        for route in ("pubo", "qubo"):
+            assert main(["export", "--instance", str(path), "--formulation", route]) == 2
+            captured = capsys.readouterr()
+            assert "positive and finite" in captured.err
+            assert "Infinity" not in captured.out
+
+    @pytest.mark.parametrize("flag", ["--lambda-uni", "--lambda-capa"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_weight_flag_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "enc.json"
+        assert main(["export", "--instance", "A", "--formulation", "pubo", "--out", str(out),
+                     f"{flag}={value}"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["solve", "--instance", "A", "--max-evals", "5", f"{flag}={value}"]) == 2
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_oversized_threshold_refused_before_expansion(self, tmp_path, capsys):
         # One train serving MAX_SYMMETRIC_VARS + 1 groups: its capacity
         # penalty would hold about 2^(g + 2) terms, several GiB.

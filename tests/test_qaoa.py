@@ -329,6 +329,31 @@ class TestEvolve:
         assert len(peaks) == 6
         assert max(peaks[1:]) < (1 << n) * 8
 
+    @pytest.mark.parametrize("n", [10, 12, 13, 14, 16])
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_totals_leave_the_state_alone(self, n, depth):
+        table = self.table(n)
+        params = random_params(5 * n + depth, depth)
+        totals = np.full((1 << n) >> 10, np.nan)
+        got = evolve(params, table, totals=totals)
+        assert got.tobytes() == evolve(params, table).tobytes()
+        tol = 4.0 * ((1 << n) + 2) * 2.0 ** -53
+        assert np.abs(totals - qaoa._block_totals(got)).max() <= tol
+
+    @pytest.mark.parametrize(
+        "totals",
+        [np.empty(17), np.empty(15), np.empty(16, dtype=np.float32), np.empty(32)[::2],
+         np.empty((1, 16)), [0.0] * 16],
+        ids=["long", "short", "float32", "strided", "two-dim", "list"],
+    )
+    def test_bad_totals_rejected(self, totals):
+        with pytest.raises(ValueError, match="totals"):
+            evolve([0.3, 0.4], self.table(14), totals=totals)
+
+    def test_no_totals_below_one_block(self):
+        with pytest.raises(ValueError, match="totals"):
+            evolve([0.3, 0.4], self.table(9), totals=np.empty(0))
+
     def test_one_fresh_row(self):
         # In place, a fresh evolve needs one statevector, not two.
         table = self.table(16)
@@ -479,13 +504,54 @@ class TestLayerKernel:
         want = numpy_evolve(params, table, monkeypatch)
         assert np.abs(got - want).max() <= 1e-15
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 14, 15, 17])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 14, 15, 17, 20, 21])
     @pytest.mark.parametrize("depth", [1, 2])
     def test_bits_of_the_documented_arithmetic(self, n, depth, compiled):
         table = random_table(n)
         params = random_params(13 * n + depth, depth)
         got = evolve(params, table)
         assert got.tobytes() == butterfly_evolve(params, table).tobytes()
+
+    # 12-13 write totals in the first sweep; 14-20 in the one group of the
+    # second sweep; 21 in the second of its two groups.
+    @pytest.mark.parametrize("n", range(12, 22))
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_totals_match_the_numpy_block_sums(self, n, depth, compiled):
+        table = random_table(n)
+        params = random_params(19 * n + depth, depth)
+        totals = np.full((1 << n) >> 10, np.nan)
+        psi = evolve(params, table, totals=totals)
+        want = qaoa._block_totals(psi)
+        tol = 4.0 * ((1 << n) + 2) * 2.0 ** -53  # sample's, for a total near 1
+        assert np.abs(totals - want).max() <= tol
+        assert np.abs(np.cumsum(totals) - np.cumsum(want)).max() <= tol
+
+    @pytest.mark.parametrize("n", [12, 14, 20])
+    def test_totals_draw_the_sequential_indices(self, n, compiled, monkeypatch):
+        table = random_table(n)
+        totals = np.empty((1 << n) >> 10)
+        psi = evolve(random_params(n, 2), table, totals=totals)
+        probs = psi.real ** 2 + psi.imag ** 2
+        blocks = (1 << n) >> 10
+        picked = sorted({0, 1, 2, blocks // 2, blocks - 2, blocks - 1})
+        # Every block end as the sequential running sum, the kernel's totals
+        # and numpy's block sums see it, and one ulp either side of each.
+        ends = np.concatenate([np.cumsum(probs)[1023::1024][picked], np.cumsum(totals)[picked],
+                               np.cumsum(qaoa._block_totals(psi))[picked]])
+        near = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 2.0)])
+        calls = TestSample.spy_on_fallback(monkeypatch)
+        want = sequential_sample(psi, len(near), _StubRng(near))
+        assert np.array_equal(sample(psi, len(near), _StubRng(near), totals=totals), want)
+        assert calls == [len(near)]
+        for d in near:
+            got = sample(psi, 1, _StubRng([d]), totals=totals)
+            assert got.tolist() == sequential_sample(psi, 1, _StubRng([d])).tolist(), d
+        calls.clear()
+        draws = np.random.default_rng(n).random(200)
+        got = sample(psi, 200, _StubRng(draws), totals=totals)
+        assert np.array_equal(got, sequential_sample(psi, 200, _StubRng(draws)))
+        assert np.array_equal(got, sample(psi, 200, _StubRng(draws)))
+        assert calls == []
 
     def test_unvectorized_build_gives_the_same_bits(self, tmp_path, compiled, monkeypatch):
         # A fused multiply-add in either build would change some bits.
@@ -629,7 +695,8 @@ class TestSample:
         draws = np.random.default_rng(seed).random(n_shots)
         assert np.array_equal(qaoa._sample_sequential(state, draws), want)
 
-    def spy_on_fallback(self, monkeypatch):
+    @staticmethod
+    def spy_on_fallback(monkeypatch):
         calls = []
         real = qaoa._sample_sequential
 
@@ -692,6 +759,11 @@ class TestSample:
         calls = self.spy_on_fallback(monkeypatch)
         assert sample(state, len(draws), _StubRng(draws)).tolist() == picks.tolist()
         assert calls == []
+
+    def test_totals_of_the_wrong_shape_rejected(self):
+        state = np.full(1 << 12, 2.0 ** -6, dtype=np.complex128)
+        with pytest.raises(ValueError, match="block totals"):
+            sample(state, 3, np.random.default_rng(0), totals=np.full(3, 0.25))
 
     def test_small_and_non_contiguous_states(self, monkeypatch):
         calls = self.spy_on_fallback(monkeypatch)
@@ -803,6 +875,40 @@ class TestRun:
         a = run(self.table(), cfg)
         b = run(self.table(), cfg, seed=9)
         assert a.trace == b.trace
+
+    @pytest.mark.parametrize("n", [11, 12, 14])
+    @pytest.mark.parametrize("backend", ["default", "numpy"])
+    def test_totals_change_no_record(self, n, backend, monkeypatch):
+        # Below 12 qubits the sampler is sequential and no totals are kept;
+        # from 12 up evolve writes them and sample reads them, on either
+        # path. Either way the record is that of sample's own block sums.
+        if backend == "numpy":
+            monkeypatch.setattr(qaoa, "_kernel", None)
+        layers = []
+        real_layer = qaoa._layer_numpy
+        monkeypatch.setattr(qaoa, "_layer_numpy", lambda *a: layers.append(1) or real_layer(*a))
+        seen = []
+        real_evolve, real_sample = qaoa.evolve, qaoa.sample
+
+        def spied_evolve(*args, totals=None, **kwargs):
+            seen.append(totals)
+            return real_evolve(*args, totals=totals, **kwargs)
+
+        def spied_sample(*args, totals=None):
+            assert totals is seen[-1]
+            return real_sample(*args, totals=totals)
+
+        monkeypatch.setattr(qaoa, "evolve", spied_evolve)
+        monkeypatch.setattr(qaoa, "sample", spied_sample)
+        table = random_table(n)
+        config = QaoaConfig(max_evals=8)
+        got = run(table, config, seed=3)
+        assert len(seen) == got.n_iterations
+        assert all((t is None) == (n < 12) for t in seen)
+        assert (len(layers) > 0) == (backend == "numpy" or qaoa.mixer_backend() == "numpy")
+        monkeypatch.setattr(qaoa, "sample", lambda state, n_shots, rng, totals=None:
+                            real_sample(state, n_shots, rng))
+        assert replace(run(table, config, seed=3), wall_ms=0.0) == replace(got, wall_ms=0.0)
 
     def test_seed_required(self):
         with pytest.raises(ValueError, match="seed"):

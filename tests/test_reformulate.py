@@ -130,6 +130,14 @@ class TestThresholdErrors:
         with pytest.raises(ValueError, match="distinct"):
             le_penalty([0, 0, 1], 1)
 
+    @pytest.mark.parametrize("penalty", [le_penalty, ge_penalty, eq_penalty])
+    @pytest.mark.parametrize("ids", [[0, -1], [0, True], [1, 2.0]])
+    def test_bad_variable_ids(self, penalty, ids):
+        # The penalties' terms skip the Polynomial key checks, so the ids
+        # are checked up front.
+        with pytest.raises(ValueError, match="non-negative ints"):
+            penalty(ids, 1)
+
     def test_negative_threshold(self):
         with pytest.raises(ValueError, match="non-negative"):
             le_penalty([0, 1], -1)
@@ -355,6 +363,8 @@ class TestAssembly:
             PenaltyTerm(Polynomial.zero(), "mystery")
         with pytest.raises(ValueError, match="positive"):
             PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=float("inf"))
         assert eq_penalty([0], 0).with_lambda(3.0).lam == 3.0
 
 
@@ -489,6 +499,8 @@ class TestCompileProblem:
             ("pubo", [1.0], "shorter"),  # one weight per constraint
             ("qubo", [1.0, 0.0], "positive"),
             ("pubo", [-1.0, 1.0], "positive"),
+            ("qubo", [1.0, float("inf")], "finite"),
+            ("pubo", [float("nan"), 1.0], "finite"),
             ("ising", [1.0, 1.0], "formulation"),
         ],
     )

@@ -499,9 +499,9 @@ class TestCompileProblem:
             ("pubo", [1.0], "shorter"),  # one weight per constraint
             ("qubo", [1.0, 0.0], "positive"),
             ("pubo", [-1.0, 1.0], "positive"),
+            ("ising", [1.0, 1.0], "formulation"),
             ("qubo", [1.0, float("inf")], "finite"),
             ("pubo", [float("nan"), 1.0], "finite"),
-            ("ising", [1.0, 1.0], "formulation"),
         ],
     )
     def test_bad_arguments(self, route, weights, msg):

@@ -74,6 +74,17 @@ class EbpInstance:
             for g in t.groups:
                 if not 0 <= g < self.num_groups:
                     raise ValueError(f"train {i} references group {g} out of range")
+        # Every objective value, and every sum brute force and the cost tables
+        # take of costs and benefits, lies within the width. Where floats are
+        # spaced wider than the 1e-9 within which values count as optimal, a
+        # difference the optimum depends on can be rounded away.
+        width = sum(t.cost + t.benefit * len(t.groups) for t in self.trains)
+        if not math.ulp(width) < 1e-9:
+            raise ValueError(
+                f"costs and benefits sum to {width:g}, where floats are spaced "
+                f"{math.ulp(width):g} apart, wider than the 1e-9 optimum tolerance; "
+                f"scale them to sum below 2^23"
+            )
 
     @property
     def num_trains(self) -> int:

@@ -180,22 +180,19 @@ def _openblas_function(name: str):
     return None
 
 
-def _pool_run(job: tuple[int, int]):
-    index, seed = job
-    record = run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
-    return index, record
+def _pool_run(seed: int) -> RunRecord:
+    return run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
 
 
 def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads: int) -> list[RunRecord]:
-    """All runs of one cell, in run-index order regardless of scheduling."""
+    """All runs of one cell, in run-index order regardless of scheduling
+    (the pool's map yields results in input order)."""
     if threads <= 1 or len(seeds) == 1:
         return [run(table, qcfg, s) for s in seeds]
     chunk = max(1, len(seeds) // (threads * 4))
     with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
                              initargs=(table, qcfg)) as pool:
-        results = list(pool.map(_pool_run, enumerate(seeds), chunksize=chunk))
-    results.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in results]
+        return list(pool.map(_pool_run, seeds, chunksize=chunk))
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:

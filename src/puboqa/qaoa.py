@@ -189,7 +189,6 @@ class QaoaConfig:
     max_evals: int = 500
     rho_begin: float = 0.5
     rho_end: float = 1e-3
-    seed: int | None = None
 
     def __post_init__(self):
         if self.depth < 1:
@@ -581,27 +580,21 @@ def optimize(loss_fn, theta0, config: QaoaConfig):
     return np.asarray(result.x, dtype=float), trace
 
 
-def run(target, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> RunRecord:
-    """One full QAOA run against a CostTable or anything with .poly/.qubit_count.
+def run(table: CostTable, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> RunRecord:
+    """One full QAOA run against a cost table; the seed is required.
 
     The run's generator seeds everything: first all gammas uniform on
     [0, 2pi), then all betas uniform on [0, pi), then the shot draws of each
-    evaluation in order. Identical (target, config, seed) triples therefore
+    evaluation in order. Identical (table, config, seed) triples therefore
     give identical records apart from wall_ms. Every evaluation prepares its
     state in one workspace allocated for the run (see evolve); on states
     large enough for the sampler's two-level search, evolve also writes the
     block totals that sample then reads.
     """
-    if isinstance(target, CostTable):
-        table = target
-    else:
-        table = build_cost_table(target.poly, target.qubit_count)
     if table.num_qubits > QUBIT_CAP:
         raise ValueError(f"{table.num_qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
     if seed is None:
-        seed = config.seed
-    if seed is None:
-        raise ValueError("a seed is required, via argument or config.seed")
+        raise ValueError("a seed is required")
 
     started = time.perf_counter()
     rng = np.random.default_rng(seed)

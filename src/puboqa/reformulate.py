@@ -6,19 +6,21 @@ ones. Four constructions are provided:
 
 * threshold penalties (eq_penalty, le_penalty, ge_penalty) for constraints
   that compare a unit-coefficient sum of distinct binary variables against an
-  integer threshold; these are binary-valued (0 or 1 everywhere) and built
-  from elementary symmetric polynomials,
+  integer threshold; these are binary-valued (0 or 1 everywhere), and each
+  is one table of weights w_k expanded as sum_k w_k e_k, with e_k the
+  degree-k elementary symmetric polynomial,
 * product_penalty for arbitrary integer-coefficient constraints, as a product
   of shifted copies of the lhs,
 * slack_penalty, the quadratic squared-slack form used for QUBO targets,
 * the linearization gadget used by reduce_to_quadratic to lower polynomial
   degree at the cost of auxiliary variables.
 
-penalty_for reads a canonical lhs and picks the binary-valued construction
-it calls for. compile_problem is the one place an encoding is assembled: it
-takes a binary model.Problem and a weight per constraint, gives each
-constraint penalty_for (the "pubo" route) or slack_penalty (the "qubo"
-route), and adds the weighted penalties to the objective
+penalty_for reads a canonical lhs once and picks the binary-valued
+construction it calls for. compile_problem is the one place an encoding is
+assembled: it takes a binary model.Problem and a weight per constraint, gives
+each constraint penalty_for (the "pubo" route, whose threshold terms are
+counted from the weight tables before any is written) or slack_penalty (the
+"qubo" route), and adds the weighted penalties to the objective
 (compose_unconstrained). That preserves the constrained minimizers whenever
 each weight is at least the objective's range width; lambda_default returns
 width + 1.
@@ -27,10 +29,11 @@ width + 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import INT_EPS, Constraint, Problem
 from .pbf import Monomial, Polynomial, VarId, _normalize_key
@@ -105,22 +108,18 @@ def eq_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
 
     For c >= 1 the polynomial is
         1 + sum_{k=c}^{n} (-1)^(k-c+1) C(k,c) e_k
-    and for c = 0 it is
-        sum_{k=1}^{n} (-1)^(k+1) e_k
-    with e_k the degree-k elementary symmetric polynomial in the variables.
-    c > n is rejected: no assignment of n binary variables sums to more
-    than n, so the constraint cannot be satisfied.
+    with e_k the degree-k elementary symmetric polynomial in the variables;
+    for c = 0 it is le_penalty(vars, 0). c > n is rejected: no assignment of
+    n binary variables sums to more than n, so the constraint cannot be
+    satisfied.
     """
     n = _check_threshold_args(vars, c)
     if c > n:
         raise ValueError(f"sum of {n} binary variables can never equal {c}")
-    e = _elementary_symmetric(vars)
     if c == 0:
-        acc = _combine(e, {k: float((-1) ** (k + 1)) for k in range(1, n + 1)})
-    else:
-        weights = {k: float((-1) ** (k - c + 1) * math.comb(k, c)) for k in range(c, n + 1)}
-        acc = Polynomial.constant(1.0) + _combine(e, weights)
-    return PenaltyTerm(acc, KIND_BINARY)
+        return le_penalty(vars, 0)
+    weights = {0: 1.0} | {k: float((-1) ** (k - c + 1) * math.comb(k, c)) for k in range(c, n + 1)}
+    return PenaltyTerm(_expand(vars, weights), KIND_BINARY)
 
 
 def le_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
@@ -133,14 +132,7 @@ def le_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
     capacity bound exceeds the number of candidates it limits. c < 0 is
     rejected (a sum of binary variables is never negative).
     """
-    n = _check_threshold_args(vars, c)
-    if c >= n:
-        return PenaltyTerm(Polynomial.zero(), KIND_BINARY)
-    e = _elementary_symmetric(vars)
-    weights = {
-        k: float((-1) ** (k - c + 1) * math.comb(k - 1, c)) for k in range(c + 1, n + 1)
-    }
-    return PenaltyTerm(_combine(e, weights), KIND_BINARY)
+    return PenaltyTerm(_expand(vars, _le_weights(vars, c)), KIND_BINARY)
 
 
 def ge_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
@@ -151,20 +143,27 @@ def ge_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
     Requires 1 <= c <= n: c = 0 is vacuous (use the zero polynomial instead)
     and c > n is unsatisfiable.
     """
+    return PenaltyTerm(_expand(vars, _ge_weights(vars, c)), KIND_BINARY)
+
+
+def _le_weights(vars: Sequence[VarId], c: int) -> dict[int, float]:
+    """le_penalty's coefficient of e_k, by degree k."""
+    n = _check_threshold_args(vars, c)
+    return {k: float((-1) ** (k - c + 1) * math.comb(k - 1, c)) for k in range(c + 1, n + 1)}
+
+
+def _ge_weights(vars: Sequence[VarId], c: int) -> dict[int, float]:
+    """ge_penalty's coefficient of e_k, by degree k."""
     n = _check_threshold_args(vars, c)
     if c == 0:
         raise ValueError("at-least-0 is vacuous; use the zero polynomial")
     if c > n:
         raise ValueError(f"sum of {n} binary variables can never reach {c}")
-    e = _elementary_symmetric(vars)
-    weights = {
-        k: float((-1) ** (k - c + 1) * math.comb(k - 1, c - 1)) for k in range(c, n + 1)
-    }
-    return PenaltyTerm(Polynomial.constant(1.0) + _combine(e, weights), KIND_BINARY)
+    return {0: 1.0} | {k: float((-1) ** (k - c + 1) * math.comb(k - 1, c - 1)) for k in range(c, n + 1)}
 
 
 def _check_threshold_args(vars: Sequence[VarId], c: int) -> int:
-    # _combine builds its terms without re-checking the ids; check them here.
+    # _expand builds its terms without re-checking the ids; check them here.
     if len(_normalize_key(vars)) != len(vars):
         raise ValueError("threshold penalties need distinct variables")
     if len(vars) > MAX_SYMMETRIC_VARS:
@@ -177,32 +176,27 @@ def _check_threshold_args(vars: Sequence[VarId], c: int) -> int:
     return len(vars)
 
 
-def _elementary_symmetric(vars: Sequence[VarId]) -> list[dict[Monomial, float]]:
-    """All e_0..e_n over the given variables, as raw term dicts.
+def _expand(vars: Sequence[VarId], weights: dict[int, float]) -> Polynomial:
+    """sum_k weights[k] * e_k over the given variables, degrees in table order.
 
-    Built by convolving one variable at a time (E_k gains E_{k-1} * x), which
-    produces the same C(n,k) monomials as subset enumeration without
-    materializing subsets per degree.
+    The monomials of each degree are grown one variable at a time, e_k gaining
+    e_{k-1} * v for v ascending, so each is written once and in the same order
+    on every call. Degrees above the table's largest are never built.
     """
-    ordered = sorted(vars)
-    e: list[dict[Monomial, float]] = [{(): 1.0}]
-    for v in ordered:
-        e.append({})
-        for k in range(len(e) - 1, 0, -1):
+    top = max(weights, default=0)
+    e: list[list[Monomial]] = [[()]]
+    for v in sorted(vars):
+        e.append([])
+        for k in range(min(len(e) - 1, top), 0, -1):
             grown = e[k]
             for mono in e[k - 1]:
-                grown[mono + (v,)] = 1.0
-    return e
+                grown.append(mono + (v,))
+    return Polynomial._from_normalized({mono: w for k, w in weights.items() for mono in e[k]})
 
 
-def _combine(e: list[dict[Monomial, float]], weights: dict[int, float]) -> Polynomial:
-    acc: dict[Monomial, float] = {}
-    for k, w in weights.items():
-        if w == 0.0:
-            continue
-        for mono in e[k]:
-            acc[mono] = acc.get(mono, 0.0) + w
-    return Polynomial._from_normalized(acc)
+def _terms(vars: Sequence[VarId], weights: dict[int, float]) -> int:
+    """How many monomials _expand(vars, weights) writes: C(n, k) per degree k."""
+    return sum(math.comb(len(vars), k) for k in weights)
 
 
 # product penalty -------------------------------------------------------------
@@ -370,8 +364,8 @@ def compile_problem(
         raise ValueError(f"unknown formulation {route!r}; choose pubo or qubo")
     if not problem.is_binary():
         raise ValueError("compile_problem needs a binary problem; binarize it first")
-    shapes = [_threshold_shape(con) for con in problem.constraints] if route == "pubo" else []
-    terms = sum(_threshold_terms(shape) for shape in shapes)
+    readings = [_read(con) for con in problem.constraints] if route == "pubo" else []
+    terms = sum(reading.terms for reading in readings)
     if terms > 1 << (MAX_SYMMETRIC_VARS + 1):
         raise ValueError(
             f"the threshold penalties would expand to {terms} terms, more than the "
@@ -382,7 +376,7 @@ def compile_problem(
     next_id = problem.num_variables
     for i, (con, lam) in enumerate(zip(problem.constraints, weights, strict=True)):
         if route == "pubo":
-            term = _shaped_penalty(con, shapes[i])
+            term = readings[i].penalty()
         else:
             term = slack_penalty(con, first_slack_id=next_id)
             next_id += len(term.slack_vars)
@@ -404,32 +398,26 @@ def penalty_for(c: Constraint) -> PenaltyTerm:
       0/1-valued.
 
     A vacuous threshold yields the zero polynomial. Everything else, weighted
-    sums and nonlinear lhs included, goes through product_penalty.
+    sums and nonlinear lhs included, goes through product_penalty. A
+    threshold is refused (variable cap, unsatisfiable bound) before any term
+    is written.
     """
-    return _shaped_penalty(c, _threshold_shape(c))
+    return _read(c).penalty()
 
 
-def _shaped_penalty(c: Constraint, shape: tuple) -> PenaltyTerm:
-    kind, *args = shape
-    if kind == "le":
-        return le_penalty(*args)
-    if kind == "ge":
-        return ge_penalty(*args)
-    if kind == "gated":
-        ys, b, gate, g = args
-        return _gated_le_penalty(ys, gate, b, g)
-    if kind == "zero":
-        return PenaltyTerm(Polynomial.zero(), KIND_BINARY)
-    return product_penalty(c)
+class _Reading(NamedTuple):
+    """A constraint as penalty_for reads it: the monomials its threshold
+    expansions write (0 if none), and the call that builds its penalty."""
+
+    terms: int
+    penalty: Callable[[], PenaltyTerm]
 
 
-def _threshold_shape(c: Constraint) -> tuple:
-    """How penalty_for reads c: ("le", vars, b), ("ge", vars, c),
-    ("gated", ys, b, gate, g), ("zero",) or ("product",)."""
+def _read(c: Constraint) -> _Reading:
     coeffs: dict[VarId, int] = {}
     for mono, coeff in c.lhs.terms.items():
         if len(mono) > 1:
-            return ("product",)
+            return _Reading(0, lambda: product_penalty(c))
         if mono:
             coeffs[mono[0]] = int(round(coeff))
     ones = sorted(v for v, a in coeffs.items() if a == 1)
@@ -438,50 +426,30 @@ def _threshold_shape(c: Constraint) -> tuple:
     if ones and not others:
         if b < 0:
             raise ValueError("constraint is unsatisfiable: sum below a negative bound")
-        return ("le", ones, b)
+        return _Reading(_terms(ones, _le_weights(ones, b)), lambda: le_penalty(ones, b))
     if others and not ones and all(a == -1 for _, a in others):
         if b >= 0:
-            return ("zero",)
-        return ("ge", [v for v, _ in others], -b)
+            return _Reading(0, lambda: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
+        ys = [v for v, _ in others]
+        return _Reading(_terms(ys, _ge_weights(ys, -b)), lambda: ge_penalty(ys, -b))
     if len(others) == 1 and others[0][1] <= -1 and b >= 0:
         (gate, a), = others
-        return ("gated", ones, b, gate, -a)
-    return ("product",)
-
-
-def _threshold_terms(shape: tuple) -> int:
-    """How many monomials the penalty of a _threshold_shape writes out if
-    it is a threshold penalty (0 if not), counted before any is built.
-
-    A threshold over n variables with bound b writes the C(n, k) monomials
-    of each degree k past b (at-least: from b on, plus the constant); a
-    gated one writes those of its closed-gate threshold twice, with and
-    without the gate, and a few of them may then cancel. The per-penalty
-    variable cap is checked here too.
-    """
-    kind, *args = shape
-    if kind in ("zero", "product"):
-        return 0
-    ys, b = args[:2]
-    n = _check_threshold_args(ys, b)
-    past = sum(math.comb(n, k) for k in range(b + 1, n + 1))
-    if kind == "ge":
-        return 1 + past + math.comb(n, b)
-    return 2 * past if kind == "gated" else past
+        return _Reading(2 * _terms(ones, _le_weights(ones, b)), lambda: _gated_le_penalty(ones, gate, b, -a))
+    return _Reading(0, lambda: product_penalty(c))
 
 
 def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> PenaltyTerm:
     """(1 - gate) * le_penalty(ys, b) + gate * le_penalty(ys, b + g).
 
-    Written out term by term: each monomial m of the closed-gate penalty A
-    appears as m with A's coefficient and as m*gate with its negation, to
-    which the open-gate penalty adds its own coefficient.
+    Written out term by term: each monomial m of the closed-gate penalty
+    keeps its coefficient, and m with the gate gets the open-gate
+    coefficient minus the closed one. The open-gate penalty has no monomial
+    the closed one lacks.
     """
     closed = le_penalty(ys, b).poly.terms
+    opened = le_penalty(ys, b + g).poly.terms
     acc = dict(closed)
     for mono, coeff in closed.items():
-        acc[mono + (gate,)] = -coeff
-    for mono, coeff in le_penalty(ys, b + g).poly.terms.items():
-        key = mono + (gate,)
-        acc[key] = acc.get(key, 0.0) + coeff
-    return PenaltyTerm(Polynomial(acc), KIND_BINARY)
+        i = bisect_left(mono, gate)
+        acc[mono[:i] + (gate,) + mono[i:]] = opened.get(mono, 0.0) - coeff
+    return PenaltyTerm(Polynomial._from_normalized(acc), KIND_BINARY)

@@ -180,6 +180,12 @@ class TestInstances:
         with pytest.raises(ValueError, match=msg):
             EbpInstance.from_obj(obj)
 
+    def test_width_below_2_23(self):
+        # The width counts each benefit once per group it may board.
+        EbpInstance("X", 2, 2, (Train(2.0**23 - 3, 1.0, (0, 1)),))
+        with pytest.raises(ValueError, match="optimum tolerance"):
+            EbpInstance("X", 2, 2, (Train(2.0**23 - 2, 1.0, (0, 1)),))
+
     def test_from_obj_accepts_integral_floats(self):
         obj = builtin_instance("A").to_obj()
         obj["cmax"] = 2.0

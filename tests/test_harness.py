@@ -8,7 +8,9 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -31,7 +33,7 @@ from puboqa.harness import (
     blas_core,
     build_parser,
 )
-from puboqa import qaoa
+from puboqa import harness, qaoa
 from puboqa.qaoa import BYTES_PER_STATE, QaoaConfig
 from puboqa.reformulate import MAX_SYMMETRIC_VARS
 
@@ -312,22 +314,45 @@ class TestCli:
         assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @staticmethod
+    def refused_everywhere(path, tmp_path, capsys):
+        """Every command exits 2 on the file, before brute force and without a warning."""
+        commands = [
+            ["verify", "--instance", str(path)],
+            ["solve", "--instance", str(path), "--max-evals", "5"],
+            ["experiment", "--instance", str(path), "--runs", "1", "--max-evals", "5",
+             "--threads", "1", "--out", str(tmp_path / "x")],
+            *(["export", "--instance", str(path), "--formulation", route] for route in ("pubo", "qubo")),
+        ]
+        with warnings.catch_warnings(), mock.patch.object(harness, "brute_force") as brute:
+            warnings.simplefilter("error")
+            for argv in commands:
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert "optimum tolerance" in captured.err
+                assert "Infinity" not in captured.out
+        assert not brute.called
+        assert not (tmp_path / "x.csv").exists()
+
     def test_infinite_default_weight_exits_2(self, tmp_path, capsys):
-        # Costs of 1e308 are valid floats, but the objective's width + 1,
-        # the default penalty weight, overflows to inf.
+        # Costs of 1e308 are valid floats, but their sum overflows to inf,
+        # and so would the default penalty weight and brute force's sums.
         obj = {"name": "huge", "num_groups": 2, "cmax": 1,
                "trains": [{"cost": 1e308, "benefit": 1e308, "groups": [0, 1]},
                           {"cost": 1e308, "benefit": 1.0, "groups": [0]}]}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(obj))
-        with pytest.warns(RuntimeWarning, match="overflow"):  # brute force sums to inf
-            assert main(["verify", "--instance", str(path)]) == 2
-        assert "positive and finite" in capsys.readouterr().err
-        for route in ("pubo", "qubo"):
-            assert main(["export", "--instance", str(path), "--formulation", route]) == 2
-            captured = capsys.readouterr()
-            assert "positive and finite" in captured.err
-            assert "Infinity" not in captured.out
+        self.refused_everywhere(path, tmp_path, capsys)
+
+    def test_absorbed_costs_exit_2(self, tmp_path, capsys):
+        # At 1e300 a unit benefit is absorbed (1e300 + 1 == 1e300), and the
+        # qubo table once had minimizers that are not optima.
+        obj = {"name": "absorbed", "num_groups": 2, "cmax": 1,
+               "trains": [{"cost": 1e300, "benefit": 1e300, "groups": [0, 1]},
+                          {"cost": 1e300, "benefit": 1, "groups": [1]}]}
+        path = tmp_path / "absorbed.json"
+        path.write_text(json.dumps(obj))
+        self.refused_everywhere(path, tmp_path, capsys)
 
     @pytest.mark.parametrize("flag", ["--lambda-uni", "--lambda-capa"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -866,16 +866,6 @@ class TestRun:
         assert all(0 <= g < 2 * np.pi for g in theta0[:3])
         assert all(0 <= b < np.pi for b in theta0[3:])
 
-    def test_accepts_encoding_directly(self):
-        rec = run(encode(builtin_instance("A"), "pubo"), self.CFG, seed=2)
-        assert rec.n_qubits == 7
-
-    def test_seed_from_config(self):
-        cfg = replace(self.CFG, seed=9)
-        a = run(self.table(), cfg)
-        b = run(self.table(), cfg, seed=9)
-        assert a.trace == b.trace
-
     @pytest.mark.parametrize("n", [11, 12, 14])
     @pytest.mark.parametrize("backend", ["default", "numpy"])
     def test_totals_change_no_record(self, n, backend, monkeypatch):

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from puboqa.model import Problem, IntVar, binarize, canonicalize
 from puboqa import reformulate
-from puboqa.pbf import Polynomial
+from puboqa.pbf import Polynomial, _normalize_key
 from puboqa.reformulate import (
     KIND_BINARY,
     KIND_PRODUCT,
@@ -464,6 +467,117 @@ class TestGatedSoundness:
                     assert term.poly.evaluate(bits) == want, (size, c, b, bits)
 
 
+def old_check_threshold_args(vars, c):
+    if len(_normalize_key(vars)) != len(vars):
+        raise ValueError("threshold penalties need distinct variables")
+    if len(vars) > MAX_SYMMETRIC_VARS:
+        raise ValueError(
+            f"threshold penalty over {len(vars)} variables exceeds the "
+            f"{MAX_SYMMETRIC_VARS}-variable cap"
+        )
+    if not isinstance(c, int) or c < 0:
+        raise ValueError(f"threshold must be a non-negative int, got {c!r}")
+    return len(vars)
+
+
+def old_elementary_symmetric(vars):
+    e = [{(): 1.0}]
+    for v in sorted(vars):
+        e.append({})
+        for k in range(len(e) - 1, 0, -1):
+            grown = e[k]
+            for mono in e[k - 1]:
+                grown[mono + (v,)] = 1.0
+    return e
+
+
+def old_combine(e, weights):
+    acc = {}
+    for k, w in weights.items():
+        if w == 0.0:
+            continue
+        for mono in e[k]:
+            acc[mono] = acc.get(mono, 0.0) + w
+    return Polynomial._from_normalized(acc)
+
+
+def old_eq_penalty(vars, c):
+    n = old_check_threshold_args(vars, c)
+    if c > n:
+        raise ValueError(f"sum of {n} binary variables can never equal {c}")
+    e = old_elementary_symmetric(vars)
+    if c == 0:
+        return old_combine(e, {k: float((-1) ** (k + 1)) for k in range(1, n + 1)})
+    weights = {k: float((-1) ** (k - c + 1) * math.comb(k, c)) for k in range(c, n + 1)}
+    return Polynomial.constant(1.0) + old_combine(e, weights)
+
+
+def old_le_penalty(vars, c):
+    n = old_check_threshold_args(vars, c)
+    if c >= n:
+        return Polynomial.zero()
+    e = old_elementary_symmetric(vars)
+    weights = {k: float((-1) ** (k - c + 1) * math.comb(k - 1, c)) for k in range(c + 1, n + 1)}
+    return old_combine(e, weights)
+
+
+def old_ge_penalty(vars, c):
+    n = old_check_threshold_args(vars, c)
+    if c == 0:
+        raise ValueError("at-least-0 is vacuous; use the zero polynomial")
+    if c > n:
+        raise ValueError(f"sum of {n} binary variables can never reach {c}")
+    e = old_elementary_symmetric(vars)
+    weights = {k: float((-1) ** (k - c + 1) * math.comb(k - 1, c - 1)) for k in range(c, n + 1)}
+    return Polynomial.constant(1.0) + old_combine(e, weights)
+
+
+def old_gated_le_penalty(ys, gate, b, g):
+    closed = old_le_penalty(ys, b).terms
+    acc = dict(closed)
+    for mono, coeff in closed.items():
+        acc[mono + (gate,)] = -coeff
+    for mono, coeff in old_le_penalty(ys, b + g).terms.items():
+        key = mono + (gate,)
+        acc[key] = acc.get(key, 0.0) + coeff
+    return Polynomial(acc)
+
+
+def bits_or_refusal(build, *args):
+    """Every term as (monomial, float64 bits) in dict order, or the refusal."""
+    try:
+        poly = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    poly = getattr(poly, "poly", poly)
+    return [(mono, coeff.hex()) for mono, coeff in poly.terms.items()]
+
+
+class TestAgainstTheTermByTermOracle:
+    """The weight-table penalties equal the former term-by-term expansion bit
+    for bit and in dict order, and refuse the same inputs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ids=st.lists(st.integers(0, 24), max_size=8, unique=True), gate=st.integers(0, 25))
+    @example(ids=[3, 1, 3], gate=0)  # repeated variable
+    @example(ids=list(range(1, MAX_SYMMETRIC_VARS + 2)), gate=0)  # over the cap
+    def test_thresholds_and_gated_sums(self, ids, gate):
+        n = len(ids)
+        for c in range(-1, n + 3):
+            for new, old in ((eq_penalty, old_eq_penalty), (le_penalty, old_le_penalty),
+                             (ge_penalty, old_ge_penalty)):
+                assert bits_or_refusal(new, ids, c) == bits_or_refusal(old, ids, c), (new, c)
+        if gate in ids or len(set(ids)) < n:
+            return
+        # The gate's id falls below, among or above the sum's ids.
+        for b in range(n + 2):
+            for g in range(1, 4):
+                lhs = Polynomial.from_terms([((v,), 1) for v in ids] + [((gate,), -g)])
+                (con,) = canonicalize("<=", lhs, b)
+                got = bits_or_refusal(penalty_for, con)
+                assert got == bits_or_refusal(old_gated_le_penalty, sorted(ids), gate, b, g), (b, g)
+
+
 class TestCompileProblem:
     def problem(self):
         cons = canonicalize("<=", V(0) + V(1) + V(2), 1) + canonicalize("<=", V(0) + V(1) - 2 * V(3), 0)
@@ -522,8 +636,8 @@ class TestCompileProblem:
     def test_term_budget_spans_the_whole_encode(self, monkeypatch):
         # A gated penalty at the cap writes 2^21 - 2 terms: one fits the
         # budget and two do not. Nothing is expanded to find that out.
-        monkeypatch.setattr(reformulate, "_shaped_penalty",
-                            lambda c, shape: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
+        monkeypatch.setattr(reformulate, "le_penalty",
+                            lambda vars, c: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
         compile_problem(self.gated_trains(1, MAX_SYMMETRIC_VARS), "pubo", [1.0])
         two = self.gated_trains(2, MAX_SYMMETRIC_VARS)
         with pytest.raises(ValueError, match=rf"{2 * (2 ** 21 - 2)} terms.*2\^21"):
@@ -544,7 +658,7 @@ class TestCompileProblem:
         for cons, exact in shapes:
             for c in cons:
                 written = len(penalty_for(c).poly.terms)
-                counted = reformulate._threshold_terms(reformulate._threshold_shape(c))
+                counted = reformulate._read(c).terms
                 assert counted == written if exact else written <= counted <= 2 * written + 2
 
     def test_compose_keeps_the_addition_order(self):

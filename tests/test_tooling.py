@@ -41,3 +41,27 @@ def test_tracer_installs_over_the_loaded_program(tmp_path):
     finally:
         tracer.remove()
     assert qaoa.evolve is original
+
+
+def test_every_threshold_constraint_is_traced(tmp_path, monkeypatch):
+    # The benchmark's reformulate.threshold span covers threshold expansion
+    # only while each one runs inside a module-level le/ge/eq_penalty call.
+    from puboqa import reformulate
+    from puboqa.extbp import builtin_instance, declare, encode
+
+    inst = builtin_instance("C")
+    constraints = declare(inst)[0].constraints
+    assert all(reformulate._read(c).terms > 0 for c in constraints)
+    tracing = load_tracing()
+    tracer = tracing.Tracer(tmp_path)
+    monkeypatch.setattr(reformulate, "_expand", tracer.wrap("expand", reformulate._expand))
+    tracer.install()
+    try:
+        encode(inst, "pubo")
+    finally:
+        tracer.remove()
+    spans = tracer.collect()
+    assert len(tracing.outermost(spans, "reformulate.threshold")) >= len(constraints)
+    expansions = [s for s in spans if s["name"] == "expand"]
+    assert expansions
+    assert all(s["parent_name"] == "reformulate.threshold" for s in expansions)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import IntVar, Problem, canonicalize
-from .pbf import Polynomial
+from .pbf import OPTIMUM_TOL, Polynomial
 from .reformulate import compile_problem, lambda_default
 
 BRUTE_FORCE_CAP = 30
@@ -76,13 +76,13 @@ class EbpInstance:
                     raise ValueError(f"train {i} references group {g} out of range")
         # Every objective value, and every sum brute force and the cost tables
         # take of costs and benefits, lies within the width. Where floats are
-        # spaced wider than the 1e-9 within which values count as optimal, a
-        # difference the optimum depends on can be rounded away.
+        # spaced wider than OPTIMUM_TOL, within which values count as optimal,
+        # a difference the optimum depends on can be rounded away.
         width = sum(t.cost + t.benefit * len(t.groups) for t in self.trains)
-        if not math.ulp(width) < 1e-9:
+        if not math.ulp(width) <= OPTIMUM_TOL:
             raise ValueError(
                 f"costs and benefits sum to {width:g}, where floats are spaced "
-                f"{math.ulp(width):g} apart, wider than the 1e-9 optimum tolerance; "
+                f"{math.ulp(width):g} apart, wider than the {OPTIMUM_TOL:g} optimum tolerance; "
                 f"scale them to sum below 2^23"
             )
 
@@ -158,21 +158,24 @@ class EbpAssignment:
     y: tuple[int, ...]
 
 
+# name -> (num_groups, cmax, the groups of each train)
 _BUILTINS = {
-    "A": ("A", 2, 2, ((0,), (1,), (0, 1))),
-    "B": ("B", 4, 2, ((0, 1), (2, 3), (0, 3))),
-    "C": ("C", 5, 2, ((0, 3, 4), (0, 1, 2), (3, 4))),
+    "A": (2, 2, ((0,), (1,), (0, 1))),
+    "B": (4, 2, ((0, 1), (2, 3), (0, 3))),
+    "C": (5, 2, ((0, 3, 4), (0, 1, 2), (3, 4))),
 }
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin_instance(name: str) -> EbpInstance:
     """One of the three benchmark instances (unit costs/benefits, cmax 2)."""
     key = name.strip().upper()
     if key not in _BUILTINS:
-        raise ValueError(f"unknown builtin instance {name!r}; choose from A, B, C")
-    label, m, cmax, group_sets = _BUILTINS[key]
+        raise ValueError(f"unknown builtin instance {name!r}; "
+                         f"choose from {', '.join(BUILTIN_NAMES)}")
+    m, cmax, group_sets = _BUILTINS[key]
     trains = tuple(Train(1.0, 1.0, gs) for gs in group_sets)
-    return EbpInstance(label, m, cmax, trains)
+    return EbpInstance(key, m, cmax, trains)
 
 
 def objective_value(inst: EbpInstance, a: EbpAssignment) -> float:
@@ -195,10 +198,10 @@ def is_feasible(inst: EbpInstance, a: EbpAssignment) -> bool:
     return all(carried[i] <= inst.cmax * a.x[i] for i in range(inst.num_trains))
 
 
-def classify(inst: EbpInstance, a: EbpAssignment, optimum: float, tol: float = 1e-9) -> Classification:
+def classify(inst: EbpInstance, a: EbpAssignment, optimum: float) -> Classification:
     if not is_feasible(inst, a):
         return Classification.INFEASIBLE
-    if abs(objective_value(inst, a) - optimum) <= tol:
+    if abs(objective_value(inst, a) - optimum) <= OPTIMUM_TOL:
         return Classification.OPTIMAL
     return Classification.FEASIBLE_NON_OPTIMAL
 
@@ -214,10 +217,10 @@ def _check_shape(inst: EbpInstance, a: EbpAssignment) -> None:
 def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
     """Exhaustive scan of all assignment bit patterns.
 
-    Returns the optimal value and every assignment within 1e-9 of it (the
-    all-zero assignment is always feasible, so an optimum exists). The low
-    _CHUNK_BITS bits are tabulated once by doubling: the objective, and for
-    each constraint its slack (limit minus load). Each pattern of the high
+    Returns the optimal value and every assignment within OPTIMUM_TOL of it
+    (the all-zero assignment is always feasible, so an optimum exists). The
+    low _CHUNK_BITS bits are tabulated once by doubling: the objective, and
+    for each constraint its slack (limit minus load). Each pattern of the high
     bits is then one chunk: its objective adds the high weights to the low
     table one at a time, and a state is feasible when every slack covers the
     load the high bits add. Weights are summed in bit order, as a sequential
@@ -273,11 +276,11 @@ def brute_force(inst: EbpInstance) -> tuple[float, tuple[EbpAssignment, ...]]:
             obj += weights[b]
         obj[(slack < need).any(axis=0)] = np.inf
         best = min(best, float(obj.min()))
-        near = np.flatnonzero(obj - best <= 1e-9)
+        near = np.flatnonzero(obj - best <= OPTIMUM_TOL)
         found.append((near + (high << low_bits), obj[near]))
     # Chunks run in index order, so the candidates are already sorted.
     index, value = (np.concatenate(parts) for parts in zip(*found))
-    optima = tuple(_decode_index(n, len(pairs), z) for z in index[value - best <= 1e-9].tolist())
+    optima = tuple(_decode_index(n, len(pairs), z) for z in index[value - best <= OPTIMUM_TOL].tolist())
     return best, optima
 
 

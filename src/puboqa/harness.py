@@ -10,8 +10,10 @@ scheduling; with a fixed master seed every column except wall_ms is
 byte-identical across reruns.
 
 `verify` brute-forces an instance and cross-checks both encodings against
-it. `export` writes an assembled polynomial as a JSON term list. `solve`
-does a single run and prints the outcome.
+it with six structural checks. `export` writes an assembled polynomial as a
+JSON term list. `solve` does a single run and prints the outcome.
+`experiment` runs worker_count() worker processes: --threads, else
+$PUBOQA_THREADS, else the cores this process may run on.
 """
 
 from __future__ import annotations
@@ -24,23 +26,22 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .extbp import (
+    BUILTIN_NAMES,
     Classification,
     EbpInstance,
     Encoding,
     brute_force,
     builtin_instance,
     classify,
-    default_lambda,
     encode,
-    objective_polynomial,
 )
-from .pbf import Polynomial
+from .pbf import OPTIMUM_TOL
 from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory, mixer_backend, run
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
@@ -59,17 +60,9 @@ CSV_COLUMNS = [
     "wall_ms",
 ]
 
-_EXPECTED_BUILTIN = {
-    # optimum, optima count, objective bounds, default lambda, pubo qubits, qubo qubits
-    "A": (-1.0, 1, (-4.0, 3.0), 8.0, 7, 15),
-    "B": (-2.0, 1, (-6.0, 3.0), 10.0, 9, 17),
-    "C": (-2.0, 11, (-8.0, 3.0), 12.0, 11, 20),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    instances: tuple[str, ...] = ("A", "B", "C")
+    instances: tuple[str, ...] = BUILTIN_NAMES
     formulations: tuple[str, ...] = ("pubo", "qubo")
     runs: int = 100
     master_seed: int = 0
@@ -99,18 +92,6 @@ class SummaryRow:
     mean_iterations: float
     wall_ms: float
 
-    def to_obj(self) -> dict:
-        return {
-            "instance": self.instance,
-            "formulation": self.formulation,
-            "qubit_count": self.qubit_count,
-            "prop_optimal": self.prop_optimal,
-            "prop_feasible_non_optimal": self.prop_feasible_non_optimal,
-            "prop_infeasible": self.prop_infeasible,
-            "mean_iterations": self.mean_iterations,
-            "wall_ms": self.wall_ms,
-        }
-
 
 def seed_for_run(master_seed: int, run_index: int) -> int:
     """Per-run seed rule: consecutive integers starting at the master seed."""
@@ -118,8 +99,8 @@ def seed_for_run(master_seed: int, run_index: int) -> int:
 
 
 def load_instance(ref: str) -> EbpInstance:
-    """Resolve a builtin name (A/B/C) or a JSON instance file path."""
-    if ref.strip().upper() in ("A", "B", "C"):
+    """Resolve a builtin name (see BUILTIN_NAMES) or a JSON instance file path."""
+    if ref.strip().upper() in BUILTIN_NAMES:
         return builtin_instance(ref)
     path = Path(ref)
     if not path.exists():
@@ -274,7 +255,7 @@ def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path:
         "max_evals": cfg.qaoa.max_evals,
         "mixer": mixer_backend(),
         "blas_core": blas_core(),
-        "cells": [s.to_obj() for s in summaries],
+        "cells": [asdict(s) for s in summaries],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -283,32 +264,23 @@ def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path:
 
 
 def verify(ref: str, echo=print) -> list[tuple[str, bool, str]]:
-    """Cross-check an instance's oracle values and both encodings.
+    """Cross-check both encodings of an instance against its brute force.
 
-    Structural checks always run: encoding minima equal the brute-force
-    optimum, full-hypercube minimizers project onto exactly the constrained
-    optima, qubit counts obey the layout formulas. Builtin instances are
-    additionally compared against their published aggregates.
+    Three checks per route, six in all: the qubit count obeys the layout
+    formula, the table minimum equals the brute-force optimum within
+    OPTIMUM_TOL, and the full-hypercube minimizers project onto exactly the
+    constrained optima. The builtins' published values (optima, bounds,
+    default weights, qubit counts) are fixed by the code and asserted by the
+    acceptance tests, so they are not repeated here.
     """
     inst = load_instance(ref)
     checks: list[tuple[str, bool, str]] = []
 
     optimum, optima = brute_force(inst)
-    obj = objective_polynomial(inst)
-    lam = default_lambda(inst)
     n, q = inst.num_trains, inst.num_y
     r_bits = inst.cmax.bit_length()
     served = {j for _, j in inst.y_pairs}
     wide_groups = sum(1 for j in served if len(inst.eligible_trains(j)) >= 2)
-
-    expected = _EXPECTED_BUILTIN.get(ref.strip().upper())
-    if expected:
-        e_opt, e_count, e_bounds, e_lam, e_pq, e_qq = expected
-        checks.append(("optimum value", abs(optimum - e_opt) < 1e-9, f"{optimum} vs published {e_opt}"))
-        checks.append(("optima count", len(optima) == e_count, f"{len(optima)} vs published {e_count}"))
-        checks.append(("objective bounds", obj.interval_bounds() == e_bounds,
-                       f"{obj.interval_bounds()} vs published {e_bounds}"))
-        checks.append(("default lambda", lam == e_lam, f"{lam} vs published {e_lam}"))
 
     opt_set = {(a.x, a.y) for a in optima}
     for formulation in ("pubo", "qubo"):
@@ -316,15 +288,11 @@ def verify(ref: str, echo=print) -> list[tuple[str, bool, str]]:
         want_qubits = n + q if formulation == "pubo" else n + q + wide_groups + n * r_bits
         checks.append((f"{formulation} qubit count", enc.qubit_count == want_qubits,
                        f"{enc.qubit_count} vs formula {want_qubits}"))
-        if expected:
-            e_q = expected[4] if formulation == "pubo" else expected[5]
-            checks.append((f"{formulation} qubit count (published)", enc.qubit_count == e_q,
-                           f"{enc.qubit_count} vs published {e_q}"))
         table = build_cost_table(enc.poly, enc.qubit_count)
         mins = table.minimizers()
         proj = {(enc.project(int(z)).x, enc.project(int(z)).y) for z in mins}
         checks.append((f"{formulation} minimum equals optimum",
-                       abs(table.min_value() - optimum) < 1e-9,
+                       abs(table.min_value() - optimum) <= OPTIMUM_TOL,
                        f"{table.min_value()} vs {optimum}"))
         checks.append((f"{formulation} minimizers project to optima", proj == opt_set,
                        f"{len(mins)} minimizers over {len(proj)} projections vs {len(opt_set)} optima"))
@@ -349,11 +317,6 @@ def export_encoding(enc: Encoding, instance_name: str) -> dict:
     }
 
 
-def import_polynomial(obj: dict) -> tuple[Polynomial, list[str]]:
-    """Inverse of export_encoding, for round-trips and external consumers."""
-    return Polynomial.from_obj(obj["terms"]), list(obj.get("var_names", []))
-
-
 # CLI -------------------------------------------------------------------------
 
 
@@ -361,12 +324,19 @@ def _qaoa_config(args) -> QaoaConfig:
     return QaoaConfig(depth=args.depth, n_shots=args.shots, max_evals=args.max_evals)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads, source = args.threads, "--threads"
+def worker_count(requested: int | None = None) -> int:
+    """Worker processes for an experiment: requested (--threads), else
+    $PUBOQA_THREADS, else the cores this process may run on.
+
+    A count below 1 raises ValueError naming where it came from.
+    """
+    if requested is not None:
+        threads, source = requested, "--threads"
     else:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         threads, source = int(env), THREADS_ENV_VAR
     if threads < 1:
@@ -397,14 +367,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
-        instances=tuple(args.instance) if args.instance else ("A", "B", "C"),
+        instances=tuple(args.instance) if args.instance else BUILTIN_NAMES,
         formulations=_formulations(args.formulation),
         runs=args.runs,
         master_seed=args.seed,
         qaoa=_qaoa_config(args),
         lam_uni=args.lambda_uni,
         lam_capa=args.lambda_capa,
-        threads=_resolve_threads(args),
+        threads=worker_count(args.threads),
     )
     rows, summaries = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
@@ -419,9 +389,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_verify(args) -> int:
     failures = 0
-    for ref in args.instance or ["A", "B", "C"]:
-        print(f"verifying {ref}")
-        checks = verify(ref)
+    for ref in args.instance or BUILTIN_NAMES:
+        # Printed once the checks ran, so a refused instance prints nothing.
+        lines: list[str] = []
+        checks = verify(ref, echo=lines.append)
+        print(f"verifying {ref}", *lines, sep="\n")
         failures += sum(1 for _, ok, _ in checks if not ok)
     return 0 if failures == 0 else 1
 
@@ -440,13 +412,12 @@ def _cmd_export(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, multi_instance: bool) -> None:
+    what = f"builtin name ({'/'.join(BUILTIN_NAMES)}) or instance JSON path"
     if multi_instance:
         parser.add_argument("--instance", action="append", default=None,
-                            help="builtin name (A/B/C) or instance JSON path; repeatable "
-                                 "(default: all builtins)")
+                            help=f"{what}; repeatable (default: all builtins)")
     else:
-        parser.add_argument("--instance", required=True,
-                            help="builtin name (A/B/C) or instance JSON path")
+        parser.add_argument("--instance", required=True, help=what)
     parser.add_argument("--lambda-uni", type=float, default=None,
                         help="uniqueness penalty weight (default: objective width + 1)")
     parser.add_argument("--lambda-capa", type=float, default=None,
@@ -485,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default="experiment",
                        help="output prefix; writes <out>.csv and <out>.summary.json")
     p_exp.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes (default: ${THREADS_ENV_VAR} or cpu count)")
+                       help=f"worker processes (default: ${THREADS_ENV_VAR}, else the "
+                            f"cores this process may run on)")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_ver = sub.add_parser("verify", help="brute-force cross-checks of encodings")

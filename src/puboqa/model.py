@@ -21,8 +21,6 @@ from .pbf import Polynomial, VarId
 
 INT_EPS = 1e-9
 
-_RELATIONS = {"<=": "<=", "le": "<=", ">=": ">=", "ge": ">=", "==": "==", "=": "==", "eq": "=="}
-
 
 @dataclass(frozen=True)
 class IntVar:
@@ -85,16 +83,15 @@ def canonicalize(relation: str, lhs: Polynomial, rhs: int) -> list[Constraint]:
     <= and >= each produce one constraint; == produces the pair (lhs - rhs
     and rhs - lhs). Coefficients of lhs must be integers and rhs an integer.
     """
-    rel = _RELATIONS.get(relation)
-    if rel is None:
+    if relation not in ("<=", ">=", "=="):
         raise ValueError(f"unknown relation {relation!r}; use <=, >= or ==")
     if not isinstance(rhs, int):
         raise ValueError(f"right-hand side must be an int, got {rhs!r}")
     _require_integer_coeffs(lhs)
 
-    if rel == "<=":
+    if relation == "<=":
         return [Constraint(lhs - rhs)]
-    if rel == ">=":
+    if relation == ">=":
         return [Constraint(rhs - lhs)]
     return [Constraint(lhs - rhs), Constraint(rhs - lhs)]
 

@@ -7,6 +7,9 @@ enforced at construction, so products never grow per-variable degree.
 
 Values are immutable: every operation returns a new Polynomial. Coefficients
 with magnitude below COEFF_EPS are dropped during normalization.
+
+OPTIMUM_TOL is the one tolerance within which two objective values count as
+the same optimum, wherever optima are found or compared.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ VarId = int
 Monomial = tuple[VarId, ...]
 
 COEFF_EPS = 1e-12
+OPTIMUM_TOL = 1e-9
 
 _Number = Union[int, float]
 
@@ -36,12 +40,7 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Iterable[VarId], _Number] | None = None):
-        acc: dict[Monomial, float] = {}
-        if terms:
-            for key, coeff in terms.items():
-                mono = _normalize_key(key)
-                acc[mono] = acc.get(mono, 0.0) + float(coeff)
-        self._terms = {m: c for m, c in acc.items() if abs(c) >= COEFF_EPS}
+        self._terms = Polynomial.from_terms(terms.items())._terms if terms else {}
 
     @classmethod
     def _from_normalized(cls, terms: dict[Monomial, float]) -> Polynomial:
@@ -130,7 +129,7 @@ class Polynomial:
             for m2, c2 in other._terms.items():
                 key = tuple(sorted(s1 | set(m2)))
                 acc[key] = acc.get(key, 0.0) + c1 * c2
-        return Polynomial(acc)
+        return Polynomial._from_normalized(acc)
 
     __rmul__ = __mul__
 
@@ -183,23 +182,6 @@ class Polynomial:
                 prod *= val
             total += prod
         return total
-
-    def substitute(self, var: VarId, replacement: Polynomial | _Number) -> Polynomial:
-        """Replace one variable by a polynomial and renormalize.
-
-        Monomials not containing `var` are kept; for each monomial that does,
-        the remaining factor is multiplied by the replacement.
-        """
-        replacement = _as_poly(replacement)
-        kept: dict[Monomial, float] = {}
-        moved = Polynomial.zero()
-        for m, c in self._terms.items():
-            if var in m:
-                rest = tuple(v for v in m if v != var)
-                moved = moved + Polynomial({rest: c}) * replacement
-            else:
-                kept[m] = kept.get(m, 0.0) + c
-        return Polynomial(kept) + moved
 
     def interval_bounds(self) -> tuple[float, float]:
         """Cheap enclosure of the range over all binary assignments.

@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .pbf import Polynomial
+from .pbf import OPTIMUM_TOL, Polynomial
 
 QUBIT_CAP = 26
 # Peak bytes per basis state of one process that builds a cost table and runs
@@ -93,9 +93,9 @@ class CostTable:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    def minimizers(self, tol: float = 1e-9) -> np.ndarray:
-        """Indices of all basis states within tol of the minimum."""
-        return np.flatnonzero(self.values <= self.values.min() + tol)
+    def minimizers(self) -> np.ndarray:
+        """Indices of all basis states within OPTIMUM_TOL of the minimum."""
+        return np.flatnonzero(self.values <= self.values.min() + OPTIMUM_TOL)
 
     def _phase_basis(self):
         """Distinct values and the inverse index, cached for fast phases.
@@ -187,8 +187,6 @@ class QaoaConfig:
     depth: int = 1
     n_shots: int = 10
     max_evals: int = 500
-    rho_begin: float = 0.5
-    rho_end: float = 1e-3
 
     def __post_init__(self):
         if self.depth < 1:
@@ -197,8 +195,6 @@ class QaoaConfig:
             raise ValueError("n_shots must be at least 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be at least 1")
-        if not (self.rho_begin > self.rho_end > 0):
-            raise ValueError("need rho_begin > rho_end > 0")
 
 
 @dataclass(frozen=True)
@@ -554,8 +550,8 @@ def estimate_loss(samples: np.ndarray, table: CostTable) -> float:
 def optimize(loss_fn, theta0, config: QaoaConfig):
     """COBYLA descent from theta0, tracing every evaluation.
 
-    The trust region shrinks from rho_begin to rho_end; max_evals is a hard
-    cap enforced here as well, so the trace never exceeds it even if the
+    The trust region shrinks from 0.5 to 1e-3; max_evals is a hard cap
+    enforced here as well, so the trace never exceeds it even if the
     backend overshoots.
     """
     trace: list[tuple[np.ndarray, float]] = []
@@ -572,8 +568,8 @@ def optimize(loss_fn, theta0, config: QaoaConfig):
         np.asarray(theta0, dtype=float),
         method="COBYLA",
         options={
-            "rhobeg": config.rho_begin,
-            "tol": config.rho_end,
+            "rhobeg": 0.5,  # the initial trust-region radius
+            "tol": 1e-3,  # the final one
             "maxiter": config.max_evals,
         },
     )

@@ -8,7 +8,6 @@ runs the full 600-run benchmark and dominates the suite's wall time.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 import time
 from dataclasses import asdict
@@ -18,10 +17,10 @@ import numpy as np
 from puboqa.extbp import brute_force, builtin_instance, default_lambda, encode
 from puboqa.harness import (
     CSV_COLUMNS,
-    THREADS_ENV_VAR,
     ExperimentConfig,
     blas_core,
     run_experiment,
+    worker_count,
     write_rows_csv,
 )
 from puboqa.model import canonicalize
@@ -260,8 +259,7 @@ def _csv_digest(path) -> str:
 
 
 def test_criterion_7_formulation_comparison(tmp_path):
-    env = os.environ.get(THREADS_ENV_VAR)
-    threads = int(env) if env else (os.cpu_count() or 1)
+    threads = worker_count()
     cfg = ExperimentConfig(master_seed=0, runs=100, threads=threads)
     started = time.perf_counter()
     rows, summaries = run_experiment(cfg, progress=lambda msg: print(f"    {msg}"))

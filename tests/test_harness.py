@@ -2,26 +2,30 @@
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import puboqa
 
-from puboqa.extbp import builtin_instance, encode
+from puboqa.extbp import EbpInstance, builtin_instance, encode
 from puboqa.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     export_encoding,
-    import_polynomial,
     load_instance,
     main,
     run_experiment,
@@ -29,13 +33,32 @@ from puboqa.harness import (
     verify,
     write_rows_csv,
     write_summary_json,
-    _resolve_threads,
+    worker_count,
     blas_core,
     build_parser,
 )
 from puboqa import harness, qaoa
+from puboqa.pbf import Polynomial
 from puboqa.qaoa import BYTES_PER_STATE, QaoaConfig
 from puboqa.reformulate import MAX_SYMMETRIC_VARS
+from test_extbp import JSON_VALUES, instance_objects
+
+
+def refused(obj):
+    try:
+        EbpInstance.from_obj(obj)
+    except ValueError:
+        return True
+    return False
+
+
+def file_with(text):
+    """A temporary file holding text (hypothesis examples cannot use tmp_path)."""
+    tmp = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
+    with tmp:
+        tmp.write(text)
+    return Path(tmp.name)
+
 
 SMALL = ExperimentConfig(
     instances=("A",),
@@ -224,7 +247,7 @@ class TestVerify:
     def test_builtin_passes_all_checks(self):
         messages = []
         checks = verify("A", echo=messages.append)
-        assert len(checks) == 12
+        assert len(checks) == 6
         assert all(ok for _, ok, _ in checks)
         assert all(m.startswith("PASS") for m in messages)
 
@@ -265,16 +288,15 @@ class TestExport:
     def test_round_trip(self):
         enc = encode(builtin_instance("A"), "pubo")
         payload = export_encoding(enc, "A")
-        poly, names = import_polynomial(payload)
-        assert poly == enc.poly
-        assert names == list(enc.var_names)
+        assert Polynomial.from_obj(payload["terms"]) == enc.poly
+        assert payload["var_names"] == list(enc.var_names)
         assert payload["qubit_count"] == 7
 
     def test_serialized_terms_evaluate_identically(self):
         import random
 
         enc = encode(builtin_instance("B"), "pubo")
-        poly, _ = import_polynomial(export_encoding(enc, "B"))
+        poly = Polynomial.from_obj(export_encoding(enc, "B")["terms"])
         rng = random.Random(5)
         for _ in range(100):
             bits = [rng.randint(0, 1) for _ in range(enc.qubit_count)]
@@ -282,6 +304,21 @@ class TestExport:
 
 
 class TestCli:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(JSON_VALUES, instance_objects()).filter(refused))
+    def test_refused_instance_files_exit_2(self, obj):
+        path = file_with(json.dumps(obj))
+        try:
+            for argv in (["verify", "--instance", str(path)],
+                         ["export", "--instance", str(path), "--formulation", "pubo"]):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert (code, out.getvalue()) == (2, ""), argv
+                assert err.getvalue().startswith("error:")
+        finally:
+            path.unlink()
+
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--instance", "A"]) == 0
         out = capsys.readouterr().out
@@ -439,7 +476,7 @@ class TestCli:
             "--out", str(out),
         ])
         assert code == 0
-        poly, _ = import_polynomial(json.loads(out.read_text()))
+        poly = Polynomial.from_obj(json.loads(out.read_text())["terms"])
         assert poly == encode(builtin_instance("A"), "pubo").poly
 
 
@@ -451,11 +488,21 @@ class TestThreadResolution:
 
     def test_explicit_flag_wins(self, monkeypatch):
         monkeypatch.setenv("PUBOQA_THREADS", "9")
-        assert _resolve_threads(self.parse(["--threads", "2"])) == 2
+        assert worker_count(self.parse(["--threads", "2"]).threads) == 2
 
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv("PUBOQA_THREADS", "3")
-        assert _resolve_threads(self.parse()) == 3
+        assert worker_count(self.parse().threads) == 3
+
+    def test_default_is_the_usable_cores(self, monkeypatch):
+        monkeypatch.delenv("PUBOQA_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count() == 1
 
     @pytest.mark.parametrize(
         "flag,env",
@@ -469,7 +516,7 @@ class TestThreadResolution:
             monkeypatch.setenv("PUBOQA_THREADS", env)
         extra = ["--threads", flag] if flag is not None else []
         with pytest.raises(ValueError, match="PUBOQA_THREADS|--threads"):
-            _resolve_threads(self.parse(extra))
+            worker_count(self.parse(extra).threads)
         argv = ["experiment", "--instance", "A", "--runs", "1", "--out", str(tmp_path / "x"), *extra]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err

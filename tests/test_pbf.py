@@ -105,20 +105,6 @@ class TestArithmetic:
         for bits in all_points(MAX_VARS):
             assert m.evaluate(bits) == pytest.approx(p.evaluate(bits) * q.evaluate(bits))
 
-    @settings(deadline=None, max_examples=40)
-    @given(poly_strategy(), st.integers(0, MAX_VARS - 1), poly_strategy())
-    def test_substitute_is_pointwise(self, p, var, rep):
-        sub = p.substitute(var, rep)
-        for bits in all_points(MAX_VARS):
-            patched = list(bits)
-            patched[var] = rep.evaluate(bits)
-            assert sub.evaluate(bits) == pytest.approx(p.evaluate(patched))
-
-    def test_substitute_constant(self):
-        p = Polynomial({(0, 1): 2.0, (1,): 1.0})
-        assert p.substitute(0, 0) == Polynomial.variable(1)
-        assert p.substitute(0, 1) == 3 * Polynomial.variable(1)
-
 
 class TestEvaluate:
     def test_mapping_and_sequence_agree(self):

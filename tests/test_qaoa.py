@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -564,6 +565,17 @@ class TestLayerKernel:
                 vector = evolve(params, table).copy()
                 assert vector.tobytes() == evolve_with(scalar, params, table, monkeypatch).tobytes()
 
+    def test_build_has_no_fused_multiply_add(self, tmp_path):
+        gcc, objdump = shutil.which("gcc"), shutil.which("objdump")
+        if gcc is None or objdump is None:
+            pytest.skip("needs gcc and objdump")
+        library = qaoa._build_kernel(gcc, tmp_path)
+        listing = subprocess.run([objdump, "-d", str(library)], capture_output=True, text=True,
+                                 check=True).stdout
+        assert "puboqa_layer" in listing
+        fused = re.findall(r"\bvfn?m(?:add|sub)\w*", listing)
+        assert fused == []
+
     def test_without_a_compiler_numpy_takes_over(self, tmp_path):
         code = ("import numpy as np\n"
                 "from puboqa import qaoa\n"
@@ -912,8 +924,6 @@ class TestQaoaConfig:
             dict(depth=0),
             dict(n_shots=0),
             dict(max_evals=0),
-            dict(rho_begin=1e-4, rho_end=1e-3),
-            dict(rho_end=0.0),
         ],
     )
     def test_validation(self, kwargs):

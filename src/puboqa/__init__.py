@@ -21,7 +21,7 @@ from .extbp import (
     is_feasible,
     objective_value,
 )
-from .model import BinCodec, Constraint, IntVar, Problem, binarize, canonicalize
+from .model import BinCodec, Constraint, Problem, binarize, canonicalize
 from .pbf import Polynomial
 from .qaoa import (
     CostTable,
@@ -58,7 +58,6 @@ __all__ = [
     "EbpAssignment",
     "EbpInstance",
     "Encoding",
-    "IntVar",
     "PenaltyTerm",
     "Polynomial",
     "Problem",

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import IntVar, Problem, canonicalize
+from .model import Problem, canonicalize
 from .pbf import OPTIMUM_TOL, Polynomial
-from .reformulate import compile_problem, lambda_default
+from .reformulate import check_weight, compile_problem, lambda_default
 
 BRUTE_FORCE_CAP = 30
 _CHUNK_BITS = 18
@@ -358,8 +358,7 @@ def declare(inst: EbpInstance) -> tuple[Problem, tuple[int, ...]]:
     for i, ys in enumerate(by_train):
         lhs = Polynomial.from_terms([((v,), 1.0) for v in ys] + [((i,), -float(inst.cmax))])
         constraints += canonicalize("<=", lhs, 0)
-    variables = tuple(IntVar(v, 1) for v in range(n + inst.num_y))
-    return Problem(variables, objective_polynomial(inst), tuple(constraints)), wide
+    return Problem((1,) * (n + inst.num_y), objective_polynomial(inst), tuple(constraints)), wide
 
 
 def encode(inst: EbpInstance, formulation: str,
@@ -368,18 +367,17 @@ def encode(inst: EbpInstance, formulation: str,
 
     Uniqueness constraints are weighted lam_uni and capacity constraints
     lam_capa; an omitted weight defaults to the objective's interval width
-    + 1. The pubo route needs n + q qubits. The qubo route appends one slack
+    + 1. Both must pass check_weight, even one no constraint uses. The pubo route needs n + q qubits. The qubo route appends one slack
     bit s_j per declared group, then the capacity bits r_i_l of each train,
     floor(log2 cmax) + 1 of them, least significant first.
     """
+    problem, wide = declare(inst)
     if lam_uni is None or lam_capa is None:
-        lam = default_lambda(inst)
+        lam = lambda_default(problem.objective)
         lam_uni = lam if lam_uni is None else lam_uni
         lam_capa = lam if lam_capa is None else lam_capa
-    if not (0 < lam_uni < math.inf and 0 < lam_capa < math.inf):
-        raise ValueError(f"penalty weights must be positive and finite, "
-                         f"got {lam_uni} and {lam_capa}")
-    problem, wide = declare(inst)
+    check_weight(lam_uni)
+    check_weight(lam_capa)
     weights = [lam_uni] * len(wide) + [lam_capa] * inst.num_trains
     poly, slack = compile_problem(problem, formulation, weights)
     names = [f"x_{i}" for i in range(inst.num_trains)]

@@ -42,7 +42,8 @@ from .extbp import (
     encode,
 )
 from .pbf import OPTIMUM_TOL
-from .qaoa import CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory, mixer_backend, run
+from .qaoa import (QUBIT_CAP, CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory,
+                   mixer_backend, run)
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
 
@@ -177,59 +178,67 @@ def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads:
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:
-    """Execute every (instance, formulation) cell; return CSV rows and summaries."""
-    rows: list[dict] = []
-    summaries: list[SummaryRow] = []
+    """Execute every (instance, formulation) cell; return CSV rows and summaries.
+
+    Every cell is encoded and its register checked before the first run.
+    """
+    cells = []
     for ref in cfg.instances:
         inst = load_instance(ref)
         optimum, _ = brute_force(inst)
         for formulation in cfg.formulations:
             enc = encode(inst, formulation, cfg.lam_uni, cfg.lam_capa)
             check_memory(enc.qubit_count, cfg.threads)
-            table = build_cost_table(enc.poly, enc.qubit_count)
-            seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
-            cell_start = time.perf_counter()
-            records = _execute_cell(table, cfg.qaoa, seeds, cfg.threads)
-            cell_ms = (time.perf_counter() - cell_start) * 1000.0
-            counts = {c: 0 for c in Classification}
-            for i, rec in enumerate(records):
-                label = classify(inst, enc.project(rec.best_state), optimum)
-                counts[label] += 1
-                rows.append(
-                    {
-                        "run_id": i,
-                        "instance": inst.name,
-                        "formulation": formulation,
-                        "seed": rec.seed,
-                        "n_qubits": rec.n_qubits,
-                        "n_iterations": rec.n_iterations,
-                        "n_evals": rec.n_sampled,
-                        "best_bits": rec.best_bits,
-                        "best_loss_unconstrained": rec.best_loss,
-                        "classification": label.value,
-                        "wall_ms": rec.wall_ms,
-                    }
-                )
-            total = len(records)
-            summaries.append(
-                SummaryRow(
-                    instance=inst.name,
-                    formulation=formulation,
-                    qubit_count=enc.qubit_count,
-                    prop_optimal=counts[Classification.OPTIMAL] / total,
-                    prop_feasible_non_optimal=counts[Classification.FEASIBLE_NON_OPTIMAL] / total,
-                    prop_infeasible=counts[Classification.INFEASIBLE] / total,
-                    mean_iterations=sum(r.n_iterations for r in records) / total,
-                    wall_ms=cell_ms,
-                )
+            if enc.qubit_count > QUBIT_CAP:
+                raise ValueError(f"{enc.qubit_count} qubits exceeds the {QUBIT_CAP}-qubit table cap")
+            cells.append((inst, optimum, formulation, enc))
+    rows: list[dict] = []
+    summaries: list[SummaryRow] = []
+    for inst, optimum, formulation, enc in cells:
+        table = build_cost_table(enc.poly, enc.qubit_count)
+        seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
+        cell_start = time.perf_counter()
+        records = _execute_cell(table, cfg.qaoa, seeds, cfg.threads)
+        cell_ms = (time.perf_counter() - cell_start) * 1000.0
+        counts = {c: 0 for c in Classification}
+        for i, rec in enumerate(records):
+            label = classify(inst, enc.project(rec.best_state), optimum)
+            counts[label] += 1
+            rows.append(
+                {
+                    "run_id": i,
+                    "instance": inst.name,
+                    "formulation": formulation,
+                    "seed": rec.seed,
+                    "n_qubits": rec.n_qubits,
+                    "n_iterations": rec.n_iterations,
+                    "n_evals": rec.n_sampled,
+                    "best_bits": rec.best_bits,
+                    "best_loss_unconstrained": rec.best_loss,
+                    "classification": label.value,
+                    "wall_ms": rec.wall_ms,
+                }
             )
-            if progress is not None:
-                last = summaries[-1]
-                progress(
-                    f"{inst.name}/{formulation}: {enc.qubit_count} qubits, "
-                    f"optimal {last.prop_optimal:.2f}, feasible {last.prop_feasible_non_optimal:.2f}, "
-                    f"infeasible {last.prop_infeasible:.2f} ({cell_ms / 1000.0:.1f} s)"
-                )
+        total = len(records)
+        summaries.append(
+            SummaryRow(
+                instance=inst.name,
+                formulation=formulation,
+                qubit_count=enc.qubit_count,
+                prop_optimal=counts[Classification.OPTIMAL] / total,
+                prop_feasible_non_optimal=counts[Classification.FEASIBLE_NON_OPTIMAL] / total,
+                prop_infeasible=counts[Classification.INFEASIBLE] / total,
+                mean_iterations=sum(r.n_iterations for r in records) / total,
+                wall_ms=cell_ms,
+            )
+        )
+        if progress is not None:
+            last = summaries[-1]
+            progress(
+                f"{inst.name}/{formulation}: {enc.qubit_count} qubits, "
+                f"optimal {last.prop_optimal:.2f}, feasible {last.prop_feasible_non_optimal:.2f}, "
+                f"infeasible {last.prop_infeasible:.2f} ({cell_ms / 1000.0:.1f} s)"
+            )
     return rows, summaries
 
 
@@ -263,7 +272,7 @@ def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path:
 # verify ----------------------------------------------------------------------
 
 
-def verify(ref: str, echo=print) -> list[tuple[str, bool, str]]:
+def verify(ref: str) -> list[tuple[str, bool, str]]:
     """Cross-check both encodings of an instance against its brute force.
 
     Three checks per route, six in all: the qubit count obeys the layout
@@ -296,9 +305,6 @@ def verify(ref: str, echo=print) -> list[tuple[str, bool, str]]:
                        f"{table.min_value()} vs {optimum}"))
         checks.append((f"{formulation} minimizers project to optima", proj == opt_set,
                        f"{len(mins)} minimizers over {len(proj)} projections vs {len(opt_set)} optima"))
-
-    for name, passed, detail in checks:
-        echo(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     return checks
 
 
@@ -376,9 +382,9 @@ def _cmd_experiment(args) -> int:
         lam_capa=args.lambda_capa,
         threads=worker_count(args.threads),
     )
-    rows, summaries = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    rows, summaries = run_experiment(cfg, progress=lambda msg: print(msg, file=sys.stderr))
     csv_path = out.with_suffix(".csv")
     json_path = out.with_suffix(".summary.json")
     write_rows_csv(rows, csv_path)
@@ -391,9 +397,10 @@ def _cmd_verify(args) -> int:
     failures = 0
     for ref in args.instance or BUILTIN_NAMES:
         # Printed once the checks ran, so a refused instance prints nothing.
-        lines: list[str] = []
-        checks = verify(ref, echo=lines.append)
-        print(f"verifying {ref}", *lines, sep="\n")
+        checks = verify(ref)
+        print(f"verifying {ref}")
+        for name, passed, detail in checks:
+            print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
         failures += sum(1 for _, ok, _ in checks if not ok)
     return 0 if failures == 0 else 1
 

@@ -23,20 +23,6 @@ INT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class IntVar:
-    """A bounded integer decision variable, 0 <= value <= upper."""
-
-    id: VarId
-    upper: int
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"variable id must be non-negative, got {self.id}")
-        if not isinstance(self.upper, int) or self.upper < 0:
-            raise ValueError(f"upper bound must be a non-negative int, got {self.upper!r}")
-
-
-@dataclass(frozen=True)
 class Constraint:
     """A canonical constraint: satisfied exactly when lhs(x) <= 0."""
 
@@ -51,43 +37,48 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Problem:
-    """A polynomial integer program (minimization)."""
+    """A polynomial integer program (minimization).
 
-    variables: tuple[IntVar, ...]
+    Variable v is the integer 0 <= x_v <= uppers[v]; polynomials refer to it
+    by its position v.
+    """
+
+    uppers: tuple[int, ...]
     objective: Polynomial
     constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self):
-        ids = [v.id for v in self.variables]
-        if ids != list(range(len(ids))):
-            raise ValueError("variable ids must be 0..n-1 in declaration order")
-        declared = set(ids)
+        for v, upper in enumerate(self.uppers):
+            if not isinstance(upper, int) or upper < 0:
+                raise ValueError(
+                    f"upper bound of variable {v} must be a non-negative int, got {upper!r}"
+                )
         for poly, what in [(self.objective, "objective")] + [
             (c.lhs, f"constraint {i}") for i, c in enumerate(self.constraints)
         ]:
-            undeclared = set(poly.variables()) - declared
+            undeclared = [v for v in poly.variables() if v >= len(self.uppers)]
             if undeclared:
-                raise ValueError(f"{what} uses undeclared variables {sorted(undeclared)}")
+                raise ValueError(f"{what} uses undeclared variables {undeclared}")
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self.uppers)
 
     def is_binary(self) -> bool:
-        return all(v.upper == 1 for v in self.variables)
+        return all(upper == 1 for upper in self.uppers)
 
 
 def canonicalize(relation: str, lhs: Polynomial, rhs: int) -> list[Constraint]:
     """Turn one user-facing comparison into canonical lhs <= 0 constraints.
 
     <= and >= each produce one constraint; == produces the pair (lhs - rhs
-    and rhs - lhs). Coefficients of lhs must be integers and rhs an integer.
+    and rhs - lhs). Coefficients of lhs must be integers (Constraint checks
+    them) and rhs an integer.
     """
     if relation not in ("<=", ">=", "=="):
         raise ValueError(f"unknown relation {relation!r}; use <=, >= or ==")
     if not isinstance(rhs, int):
         raise ValueError(f"right-hand side must be an int, got {rhs!r}")
-    _require_integer_coeffs(lhs)
 
     if relation == "<=":
         return [Constraint(lhs - rhs)]
@@ -100,27 +91,26 @@ def canonicalize(relation: str, lhs: Polynomial, rhs: int) -> list[Constraint]:
 class BinCodec:
     """Bookkeeping for one binarization: integer var -> weighted bits.
 
-    spans[i] holds (var_id, ((bit_id, weight), ...)) for the i-th declared
-    variable, bits least-significant first. Variables with upper bound 0 get
-    an empty span and are fixed to 0.
+    spans[v] holds ((bit_id, weight), ...) for variable v, bits
+    least-significant first. Variables with upper bound 0 get an empty span
+    and are fixed to 0.
     """
 
-    spans: tuple[tuple[VarId, tuple[tuple[VarId, int], ...]], ...]
+    spans: tuple[tuple[tuple[VarId, int], ...], ...]
 
     @property
     def num_bits(self) -> int:
-        return sum(len(bits) for _, bits in self.spans)
+        return sum(len(bits) for bits in self.spans)
 
     def bit_ids(self, var: VarId) -> tuple[VarId, ...]:
-        for vid, bits in self.spans:
-            if vid == var:
-                return tuple(b for b, _ in bits)
-        raise ValueError(f"variable {var} not in codec")
+        if not 0 <= var < len(self.spans):
+            raise ValueError(f"variable {var} not in codec")
+        return tuple(b for b, _ in self.spans[var])
 
     def decode(self, bit_assignment) -> dict[VarId, int]:
         """Map a bit assignment back to integer variable values."""
         out: dict[VarId, int] = {}
-        for vid, bits in self.spans:
+        for vid, bits in enumerate(self.spans):
             total = 0
             for bit_id, weight in bits:
                 total += weight * int(_lookup(bit_assignment, bit_id))
@@ -134,7 +124,7 @@ class BinCodec:
         original bounds.
         """
         out: dict[VarId, int] = {}
-        for vid, bits in self.spans:
+        for vid, bits in enumerate(self.spans):
             val = values[vid]
             if val < 0:
                 raise ValueError(f"variable {vid} has negative value {val}")
@@ -162,29 +152,19 @@ def binarize(problem: Problem) -> tuple[Problem, BinCodec]:
     overshoot. Objective and constraints are rewritten by substitution.
     """
     spans = []
-    replacement: dict[VarId, Polynomial] = {}
     next_bit = 0
-    for var in problem.variables:
-        if var.upper == 0:
-            spans.append((var.id, ()))
-            replacement[var.id] = Polynomial.zero()
-            continue
-        width = var.upper.bit_length()
-        bits = tuple((next_bit + j, 1 << j) for j in range(width))
+    for upper in problem.uppers:
+        width = upper.bit_length()
+        spans.append(tuple((next_bit + j, 1 << j) for j in range(width)))
         next_bit += width
-        spans.append((var.id, bits))
-        replacement[var.id] = Polynomial.from_terms(
-            ((bit_id,), weight) for bit_id, weight in bits
-        )
+    replacement = [Polynomial.from_terms(((bit_id,), weight) for bit_id, weight in bits) for bits in spans]
 
-    codec = BinCodec(tuple(spans))
-    new_vars = tuple(IntVar(i, 1) for i in range(next_bit))
     new_objective = _rewrite(problem.objective, replacement)
     new_constraints = tuple(Constraint(_rewrite(c.lhs, replacement)) for c in problem.constraints)
-    return Problem(new_vars, new_objective, new_constraints), codec
+    return Problem((1,) * next_bit, new_objective, new_constraints), BinCodec(tuple(spans))
 
 
-def _rewrite(poly: Polynomial, replacement: dict[VarId, Polynomial]) -> Polynomial:
+def _rewrite(poly: Polynomial, replacement: list[Polynomial]) -> Polynomial:
     """Substitute every variable at once (old and new id spaces may overlap)."""
     out = Polynomial.zero()
     for mono, coeff in poly.terms.items():

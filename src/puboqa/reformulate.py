@@ -15,6 +15,8 @@ ones. Four constructions are provided:
 * the linearization gadget used by reduce_to_quadratic to lower polynomial
   degree at the cost of auxiliary variables.
 
+check_weight is the one rule for a penalty weight: positive and finite.
+
 penalty_for reads a canonical lhs once and picks the binary-valued
 construction it calls for. compile_problem is the one place an encoding is
 assembled: it takes a binary model.Problem and a weight per constraint, gives
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .model import INT_EPS, Constraint, Problem
+from .model import Constraint, Problem
 from .pbf import Monomial, Polynomial, VarId, _normalize_key
 
 KIND_BINARY = "binary-valued"
@@ -74,30 +76,16 @@ class PenaltyTerm:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"penalty weight must be positive and finite, got {self.lam}")
+        check_weight(self.lam)
 
     def with_lambda(self, lam: float) -> PenaltyTerm:
         return replace(self, lam=lam)
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """Ordered record of the pair substitutions made by reduce_to_quadratic.
-
-    Each record (a, b, y) states that the fresh variable y stands for the
-    product a*b. apply() replays the substitutions (with their gadgets) on a
-    polynomial, which reproduces the quadratic output exactly.
-    """
-
-    records: tuple[tuple[VarId, VarId, VarId], ...]
-    lam: float
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        out = poly
-        for a, b, y in self.records:
-            out = _substitute_pair(out, a, b, y) + self.lam * linearization_gadget(a, b, y).poly
-        return out
+def check_weight(lam: float) -> None:
+    """Refuse a penalty weight that is not positive and finite."""
+    if not 0 < lam < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {lam}")
 
 
 # threshold penalties ---------------------------------------------------------
@@ -209,14 +197,10 @@ def product_penalty(c: Constraint, ub_cap: int = DEFAULT_PRODUCT_CAP) -> Penalty
     of absolute coefficient values (constant included). On a satisfying
     assignment lhs lands in [-UB, 0], so one factor vanishes; on a violating
     one every factor is >= 1. The value on violations can be astronomically
-    large, which is sound but numerically blunt, hence the cap on UB.
+    large, which is sound but numerically blunt, hence the cap on UB. The
+    coefficients are integers, which Constraint checks.
     """
-    ub = 0
-    for mono, coeff in c.lhs.terms.items():
-        r = round(coeff)
-        if abs(coeff - r) > INT_EPS:
-            raise ValueError(f"product penalty needs integer coefficients, got {coeff}")
-        ub += abs(int(r))
+    ub = sum(abs(int(round(coeff))) for coeff in c.lhs.terms.values())
     if ub > ub_cap:
         raise ValueError(
             f"product penalty would multiply {ub + 1} factors, above the cap {ub_cap}; "
@@ -266,17 +250,19 @@ def slack_penalty(c: Constraint, first_slack_id: VarId | None = None) -> Penalty
 # quadratization --------------------------------------------------------------
 
 
-def linearization_gadget(a: VarId, b: VarId, y: VarId, lam: float = 1.0) -> PenaltyTerm:
+def linearization_gadget(a: VarId, b: VarId, y: VarId) -> PenaltyTerm:
     """Penalty that is 0 exactly when y = a*b.
 
     The polynomial a*b - 2ay - 2by + 3y takes value 1 on (1,1,0), 1 on
     (0,1,1) and (1,0,1), 3 on (0,0,1), and 0 on every consistent triple.
     """
     poly = Polynomial({(a, b): 1.0, (a, y): -2.0, (b, y): -2.0, (y,): 3.0})
-    return PenaltyTerm(poly, KIND_GADGET, lam=lam)
+    return PenaltyTerm(poly, KIND_GADGET)
 
 
-def reduce_to_quadratic(p: Polynomial, lam: float) -> tuple[Polynomial, SubstitutionMap]:
+def reduce_to_quadratic(
+    p: Polynomial, lam: float
+) -> tuple[Polynomial, tuple[tuple[VarId, VarId, VarId], ...]]:
     """Lower a polynomial to degree <= 2 with pair substitutions.
 
     While any monomial of degree >= 3 remains, the variable pair occurring in
@@ -284,10 +270,11 @@ def reduce_to_quadratic(p: Polynomial, lam: float) -> tuple[Polynomial, Substitu
     is replaced everywhere by a fresh variable y, and lam times the
     linearization gadget for (pair, y) is added. With lam at least the
     interval width of the evolving polynomial the extended minimum equals the
-    original minimum; lambda_default(p) is a safe choice.
+    original minimum; lambda_default(p) is a safe choice. Returns the
+    quadratic polynomial and the substitutions in the order they were made:
+    each record (a, b, y) states that y stands for the product a*b.
     """
-    if not lam > 0:
-        raise ValueError("gadget weight must be positive")
+    check_weight(lam)
     current = p
     records: list[tuple[VarId, VarId, VarId]] = []
     next_var = max(p.variables(), default=-1) + 1
@@ -305,7 +292,7 @@ def reduce_to_quadratic(p: Polynomial, lam: float) -> tuple[Polynomial, Substitu
         next_var += 1
         current = _substitute_pair(current, a, b, y) + lam * linearization_gadget(a, b, y).poly
         records.append((a, b, y))
-    return current, SubstitutionMap(tuple(records), lam)
+    return current, tuple(records)
 
 
 def _substitute_pair(p: Polynomial, a: VarId, b: VarId, y: VarId) -> Polynomial:
@@ -340,8 +327,6 @@ def compose_unconstrained(objective: Polynomial, penalties: Iterable[PenaltyTerm
     acc = dict(objective.terms)
     for term in penalties:
         lam = float(term.lam)
-        if not 0 < lam < math.inf:
-            raise ValueError("penalty weights must be positive and finite")
         for mono, coeff in term.poly.terms.items():
             acc[mono] = acc.get(mono, 0.0) + lam * coeff
     return Polynomial._from_normalized(acc)
@@ -355,7 +340,8 @@ def compile_problem(
     On the "pubo" route each constraint gets penalty_for, which needs no
     extra variables. On the "qubo" route each gets slack_penalty, with slack
     bit ids counted up from problem.num_variables in constraint order. Each
-    penalty enters with its constraint's weight, which must be positive.
+    penalty enters with its constraint's weight, which PenaltyTerm checks
+    with check_weight.
     Returns the composed polynomial and, per constraint, its slack bit ids
     (empty on the pubo route). Integer programs go through model.binarize
     first.

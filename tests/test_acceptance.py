@@ -221,7 +221,7 @@ def test_criterion_5_encoding_equivalence():
 
 def test_criterion_6_quadratization():
     poly = encode(builtin_instance("A"), "pubo").poly
-    quad, smap = reduce_to_quadratic(poly, lambda_default(poly))
+    quad, records = reduce_to_quadratic(poly, lambda_default(poly))
     n_orig = max(poly.variables()) + 1
     n_ext = max(quad.variables()) + 1
     issues = []
@@ -238,7 +238,7 @@ def test_criterion_6_quadratization():
         "quadratization",
         not issues,
         "; ".join(issues) if issues else (
-            f"{len(smap.records)} substitution(s) give degree {quad.degree} over "
+            f"{len(records)} substitution(s) give degree {quad.degree} over "
             f"{n_ext} variables with the same minimum {ext_min}"
         ),
     )

@@ -245,11 +245,9 @@ class TestFileOutputs:
 
 class TestVerify:
     def test_builtin_passes_all_checks(self):
-        messages = []
-        checks = verify("A", echo=messages.append)
+        checks = verify("A")
         assert len(checks) == 6
         assert all(ok for _, ok, _ in checks)
-        assert all(m.startswith("PASS") for m in messages)
 
     def test_custom_instance_runs_structural_checks(self, tmp_path):
         obj = {
@@ -263,7 +261,7 @@ class TestVerify:
         }
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(obj))
-        checks = verify(str(path), echo=lambda _: None)
+        checks = verify(str(path))
         assert len(checks) == 6
         assert all(ok for _, ok, _ in checks)
 
@@ -278,7 +276,7 @@ class TestVerify:
             path = tmp_path / f"{len(str(num_groups))}.json"
             path.write_text(json.dumps(dict(obj, num_groups=num_groups)))
             started = time.perf_counter()
-            results.append(verify(str(path), echo=lambda _: None))
+            results.append(verify(str(path)))
             assert time.perf_counter() - started < 1.0
         assert results[0] == results[1]
         assert all(ok for _, ok, _ in results[0])
@@ -323,6 +321,9 @@ class TestCli:
         assert main(["verify", "--instance", "A"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        header, *lines = out.splitlines()
+        assert header == "verifying A"
+        assert len(lines) == 6 and all(line.startswith("PASS  ") for line in lines)
 
     def test_unknown_instance_exits_2(self, capsys):
         code = main(["solve", "--instance", "Z", "--max-evals", "5"])
@@ -461,6 +462,27 @@ class TestCli:
         assert "7 qubits x 2 process(es)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
         assert main([*argv, "--threads", "1"]) == 0
+
+    def test_experiment_refuses_before_any_run(self, tmp_path, capsys):
+        # The pubo cell has 20 qubits; cmax 2^40 gives each train 41 capacity
+        # bits, so the qubo cell needs 102 and is refused. Neither cell runs.
+        obj = {"name": "oversize", "num_groups": 18, "cmax": 2**40,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": list(range(9))},
+                          {"cost": 1.0, "benefit": 1.0, "groups": list(range(9, 18))}]}
+        path = tmp_path / "oversize.json"
+        path.write_text(json.dumps(obj))
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        with mock.patch.object(harness, "run") as runs:
+            argv = ["experiment", "--instance", str(path), "--runs", "3", "--threads", "1"]
+            assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+            assert "102 qubits" in capsys.readouterr().err
+            # An output directory that cannot be made is refused first too.
+            argv = ["experiment", "--instance", "A", "--runs", "3", "--threads", "1"]
+            assert main([*argv, "--out", str(blocked / "x")]) == 2
+            assert "error:" in capsys.readouterr().err
+        assert not runs.called
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_export_stdout_is_valid_json(self, capsys):
         code = main(["export", "--instance", "A", "--formulation", "qubo"])

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from puboqa.model import BinCodec, Constraint, IntVar, Problem, binarize, canonicalize
+from puboqa.model import BinCodec, Constraint, Problem, binarize, canonicalize
 from puboqa.pbf import Polynomial
 from puboqa.reformulate import KIND_PRODUCT, le_penalty, penalty_for
 
@@ -70,46 +70,44 @@ class TestUnitSumTag:
 
 
 class TestProblem:
-    def test_dense_ids_required(self):
-        with pytest.raises(ValueError, match="declaration order"):
-            Problem((IntVar(1, 1),), Polynomial.zero())
-
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
-            Problem((IntVar(0, 1),), Polynomial.variable(3))
+            Problem((1,), Polynomial.variable(3))
 
     def test_is_binary(self):
-        p = Problem((IntVar(0, 1), IntVar(1, 2)), Polynomial.zero())
+        p = Problem((1, 2), Polynomial.zero())
         assert not p.is_binary()
+
+    @pytest.mark.parametrize("upper", [-1, 1.5])
+    def test_upper_bounds_are_non_negative_ints(self, upper):
+        with pytest.raises(ValueError, match="non-negative int"):
+            Problem((1, upper), Polynomial.zero())
 
 
 class TestBinarize:
     def test_bit_widths(self):
-        prob = Problem(
-            tuple(IntVar(i, u) for i, u in enumerate([1, 2, 3, 4])),
-            Polynomial.zero(),
-        )
+        prob = Problem((1, 2, 3, 4), Polynomial.zero())
         _, codec = binarize(prob)
-        assert [len(bits) for _, bits in codec.spans] == [1, 2, 2, 3]
+        assert [len(bits) for bits in codec.spans] == [1, 2, 2, 3]
         assert codec.num_bits == 8
 
     def test_weights_lsb_first(self):
-        prob = Problem((IntVar(0, 5),), Polynomial.variable(0))
+        prob = Problem((5,), Polynomial.variable(0))
         binary, codec = binarize(prob)
-        assert codec.spans == ((0, ((0, 1), (1, 2), (2, 4))),)
+        assert codec.spans == (((0, 1), (1, 2), (2, 4)),)
         assert binary.objective == Polynomial.from_terms([((0,), 1), ((1,), 2), ((2,), 4)])
 
     def test_linear_example(self):
         # objective 3x with x in [0, 2] becomes 3 b0 + 6 b1
-        prob = Problem((IntVar(0, 2),), 3 * Polynomial.variable(0))
+        prob = Problem((2,), 3 * Polynomial.variable(0))
         binary, _ = binarize(prob)
         assert binary.objective == Polynomial.from_terms([((0,), 3), ((1,), 6)])
-        assert all(v.upper == 1 for v in binary.variables)
+        assert all(upper == 1 for upper in binary.uppers)
 
     def test_values_preserved_through_encoding(self):
         uppers = [2, 3]
         obj = Polynomial({(0,): 2.0, (1,): -1.0, (0, 1): 1.0, (): 0.5})
-        prob = Problem(tuple(IntVar(i, u) for i, u in enumerate(uppers)), obj)
+        prob = Problem(tuple(uppers), obj)
         binary, codec = binarize(prob)
         for v0 in range(uppers[0] + 1):
             for v1 in range(uppers[1] + 1):
@@ -120,10 +118,7 @@ class TestBinarize:
                 assert codec.decode(bits) == {0: v0, 1: v1}
 
     def test_zero_upper_fixes_variable(self):
-        prob = Problem(
-            (IntVar(0, 0), IntVar(1, 1)),
-            Polynomial.variable(0) + Polynomial.variable(1),
-        )
+        prob = Problem((0, 1), Polynomial.variable(0) + Polynomial.variable(1))
         binary, codec = binarize(prob)
         assert binary.num_variables == 1
         assert binary.objective == Polynomial.variable(0)
@@ -133,7 +128,7 @@ class TestBinarize:
         # The penalty is read off the rewritten lhs: binary uniqueness keeps
         # its threshold penalty, an integer bound becomes a weighted sum.
         prob = Problem(
-            (IntVar(0, 1), IntVar(1, 1), IntVar(2, 3)),
+            (1, 1, 3),
             Polynomial.zero(),
             tuple(
                 canonicalize("<=", Polynomial.variable(0) + Polynomial.variable(1), 1)
@@ -147,7 +142,7 @@ class TestBinarize:
         assert penalty_for(cap).kind == KIND_PRODUCT
 
     def test_encode_rejects_unrepresentable(self):
-        prob = Problem((IntVar(0, 2),), Polynomial.variable(0))
+        prob = Problem((2,), Polynomial.variable(0))
         _, codec = binarize(prob)
         with pytest.raises(ValueError):
             codec.encode({0: 7})
@@ -155,7 +150,7 @@ class TestBinarize:
             codec.encode({0: -1})
 
     def test_codec_missing_variable(self):
-        codec = BinCodec(((0, ((0, 1),)),))
+        codec = BinCodec((((0, 1),),))
         with pytest.raises(ValueError, match="missing"):
             codec.decode({})
         with pytest.raises(ValueError, match="not in codec"):

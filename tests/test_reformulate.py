@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from puboqa.model import Problem, IntVar, binarize, canonicalize
+from puboqa.extbp import EbpInstance, Train, builtin_instance, encode
+from puboqa.model import Problem, binarize, canonicalize
 from puboqa import reformulate
 from puboqa.pbf import Polynomial, _normalize_key
 from puboqa.reformulate import (
@@ -310,24 +311,19 @@ class TestReduceToQuadratic:
 
     def test_consistent_assignments_reproduce_values(self):
         for p in self.random_polys():
-            q, smap = reduce_to_quadratic(p, lambda_default(p))
+            q, records = reduce_to_quadratic(p, lambda_default(p))
             n = max(p.variables()) + 1
             for bits in all_assignments(n):
                 point = {i: bits[i] for i in range(n)}
-                for a, b, y in smap.records:
+                for a, b, y in records:
                     point[y] = point[a] * point[b]
                 assert q.evaluate(point) == pytest.approx(p.evaluate(bits), abs=1e-9)
-
-    def test_replay_reproduces_output(self):
-        for p in self.random_polys():
-            q, smap = reduce_to_quadratic(p, lambda_default(p))
-            assert smap.apply(p) == q
 
     def test_lexicographic_tie_break(self):
         p = Polynomial({(0, 1, 2): 1.0})
         lam = 2.0
-        q, smap = reduce_to_quadratic(p, lam)
-        assert smap.records == ((0, 1, 3),)
+        q, records = reduce_to_quadratic(p, lam)
+        assert records == ((0, 1, 3),)
         want = Polynomial(
             {(2, 3): 1.0, (0, 1): lam, (0, 3): -2 * lam, (1, 3): -2 * lam, (3,): 3 * lam}
         )
@@ -335,14 +331,14 @@ class TestReduceToQuadratic:
 
     def test_most_frequent_pair_first(self):
         p = Polynomial({(0, 1, 2): 1.0, (0, 1, 3): 1.0})
-        _, smap = reduce_to_quadratic(p, 2.0)
-        assert smap.records[0] == (0, 1, 4)
-        assert len(smap.records) == 1
+        _, records = reduce_to_quadratic(p, 2.0)
+        assert records[0] == (0, 1, 4)
+        assert len(records) == 1
 
     def test_quadratic_input_untouched(self):
         p = Polynomial({(0, 1): 2.0, (2,): -1.0})
-        q, smap = reduce_to_quadratic(p, 1.0)
-        assert q == p and smap.records == ()
+        q, records = reduce_to_quadratic(p, 1.0)
+        assert q == p and records == ()
 
     def test_weight_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -369,6 +365,28 @@ class TestAssembly:
         with pytest.raises(ValueError, match="finite"):
             PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=float("inf"))
         assert eq_penalty([0], 0).with_lambda(3.0).lam == 3.0
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+    @pytest.mark.parametrize("entry", ["PenaltyTerm", "with_lambda", "reduce_to_quadratic",
+                                       "compile_problem-pubo", "compile_problem-qubo",
+                                       "encode-uni", "encode-capa", "encode-unused-uni"])
+    def test_one_weight_rule(self, entry, lam):
+        # Every entry point refuses the same weights with the same message;
+        # encode checks both weights, even one no constraint uses.
+        prob = Problem((1, 1), Polynomial.zero(), tuple(canonicalize("<=", V(0) + V(1), 1)))
+        lone = EbpInstance("lone", 1, 1, (Train(1.0, 1.0, (0,)),))
+        calls = {
+            "PenaltyTerm": lambda: PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=lam),
+            "with_lambda": lambda: le_penalty([0, 1], 1).with_lambda(lam),
+            "reduce_to_quadratic": lambda: reduce_to_quadratic(Polynomial({(0, 1, 2): 1.0}), lam),
+            "compile_problem-pubo": lambda: compile_problem(prob, "pubo", [lam]),
+            "compile_problem-qubo": lambda: compile_problem(prob, "qubo", [lam]),
+            "encode-uni": lambda: encode(builtin_instance("A"), "pubo", lam, None),
+            "encode-capa": lambda: encode(builtin_instance("A"), "qubo", None, lam),
+            "encode-unused-uni": lambda: encode(lone, "pubo", lam, 1.0),
+        }
+        with pytest.raises(ValueError, match="positive and finite"):
+            calls[entry]()
 
 
 class TestPenaltyRouting:
@@ -582,7 +600,7 @@ class TestCompileProblem:
     def problem(self):
         cons = canonicalize("<=", V(0) + V(1) + V(2), 1) + canonicalize("<=", V(0) + V(1) - 2 * V(3), 0)
         obj = Polynomial.from_terms(((i,), -1) for i in range(4))
-        return Problem(tuple(IntVar(i, 1) for i in range(4)), obj, tuple(cons))
+        return Problem((1,) * 4, obj, tuple(cons))
 
     def test_pubo_route_composes_penalty_for(self):
         prob = self.problem()
@@ -603,7 +621,7 @@ class TestCompileProblem:
         assert poly.degree <= 2
 
     def test_refuses_integer_problems(self):
-        prob = Problem((IntVar(0, 3),), V(0), tuple(canonicalize("<=", V(0), 2)))
+        prob = Problem((3,), V(0), tuple(canonicalize("<=", V(0), 2)))
         with pytest.raises(ValueError, match="binarize"):
             compile_problem(prob, "pubo", [1.0])
 
@@ -631,7 +649,7 @@ class TestCompileProblem:
             lhs = Polynomial.from_terms([((v,), 1.0) for v in ys] + [((t,), -1.0)])
             cons += canonicalize("<=", lhs, 0)
         width = count * (groups + 1)
-        return Problem(tuple(IntVar(i, 1) for i in range(width)), Polynomial.zero(), tuple(cons))
+        return Problem((1,) * width, Polynomial.zero(), tuple(cons))
 
     def test_term_budget_spans_the_whole_encode(self, monkeypatch):
         # A gated penalty at the cap writes 2^21 - 2 terms: one fits the
@@ -696,7 +714,7 @@ class TestEndToEndEquivalence:
                 lhs = Polynomial.from_terms(((i,), c) for i, c in enumerate(coeffs))
                 cons.extend(canonicalize(rel, lhs, rhs))
             prob = Problem(
-                tuple(IntVar(i, 1) for i in range(n)), obj, tuple(cons)
+                (1,) * n, obj, tuple(cons)
             )
             feasible = [
                 bits
@@ -740,7 +758,7 @@ class TestEndToEndEquivalence:
                 rhs = rng.randint(0 if rel == "<=" else 1, n)
             lhs = Polynomial.from_terms(((i,), c) for i, c in enumerate(coeffs))
             cons.extend(canonicalize(rel, lhs, rhs))
-        return Problem(tuple(IntVar(i, 1) for i in range(n)), obj, tuple(cons))
+        return Problem((1,) * n, obj, tuple(cons))
 
     @staticmethod
     def minimizers(poly, n, width):
@@ -780,7 +798,7 @@ class TestEndToEndEquivalence:
             + canonicalize(">=", u, 1)
             + canonicalize("<=", v, 2)
         )
-        prob = Problem((IntVar(0, 3), IntVar(1, 2)), -2 * u - 3 * v, tuple(cons))
+        prob = Problem((3, 2), -2 * u - 3 * v, tuple(cons))
         binary, codec = binarize(prob)
         lam = lambda_default(binary.objective)
         poly, slack = compile_problem(binary, route, [lam] * len(binary.constraints))

@@ -35,7 +35,6 @@ from .qaoa import (
     sample,
 )
 from .reformulate import (
-    PenaltyTerm,
     compile_problem,
     compose_unconstrained,
     eq_penalty,
@@ -58,7 +57,6 @@ __all__ = [
     "EbpAssignment",
     "EbpInstance",
     "Encoding",
-    "PenaltyTerm",
     "Polynomial",
     "Problem",
     "QaoaConfig",

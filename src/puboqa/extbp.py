@@ -125,7 +125,10 @@ class EbpInstance:
                 )
                 for t in obj["trains"]
             )
-            return cls(str(obj["name"]), _whole(obj["num_groups"], "num_groups"),
+            name = obj["name"]
+            if not isinstance(name, str):
+                raise ValueError(f"name must be a string, got {name!r}")
+            return cls(name, _whole(obj["num_groups"], "num_groups"),
                        _whole(obj["cmax"], "cmax"), trains)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed instance object: {exc}") from exc

@@ -19,6 +19,7 @@ $PUBOQA_THREADS, else the cores this process may run on.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import glob
 import json
@@ -42,7 +43,7 @@ from .extbp import (
     encode,
 )
 from .pbf import OPTIMUM_TOL
-from .qaoa import (QUBIT_CAP, CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory,
+from .qaoa import (CostTable, QaoaConfig, RunRecord, build_cost_table, check_register,
                    mixer_backend, run)
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
@@ -180,21 +181,23 @@ def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads:
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:
     """Execute every (instance, formulation) cell; return CSV rows and summaries.
 
-    Every cell is encoded and its register checked before the first run.
+    Every cell is encoded and its register checked before the first brute
+    force, and every instance is brute-forced before the first run.
     """
-    cells = []
+    encoded = []
     for ref in cfg.instances:
         inst = load_instance(ref)
+        encs = [encode(inst, formulation, cfg.lam_uni, cfg.lam_capa) for formulation in cfg.formulations]
+        for enc in encs:
+            check_register(enc.qubit_count, cfg.threads)
+        encoded.append((inst, encs))
+    cells = []
+    for inst, encs in encoded:
         optimum, _ = brute_force(inst)
-        for formulation in cfg.formulations:
-            enc = encode(inst, formulation, cfg.lam_uni, cfg.lam_capa)
-            check_memory(enc.qubit_count, cfg.threads)
-            if enc.qubit_count > QUBIT_CAP:
-                raise ValueError(f"{enc.qubit_count} qubits exceeds the {QUBIT_CAP}-qubit table cap")
-            cells.append((inst, optimum, formulation, enc))
+        cells += [(inst, optimum, enc) for enc in encs]
     rows: list[dict] = []
     summaries: list[SummaryRow] = []
-    for inst, optimum, formulation, enc in cells:
+    for inst, optimum, enc in cells:
         table = build_cost_table(enc.poly, enc.qubit_count)
         seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
         cell_start = time.perf_counter()
@@ -208,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
                 {
                     "run_id": i,
                     "instance": inst.name,
-                    "formulation": formulation,
+                    "formulation": enc.kind,
                     "seed": rec.seed,
                     "n_qubits": rec.n_qubits,
                     "n_iterations": rec.n_iterations,
@@ -223,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
         summaries.append(
             SummaryRow(
                 instance=inst.name,
-                formulation=formulation,
+                formulation=enc.kind,
                 qubit_count=enc.qubit_count,
                 prop_optimal=counts[Classification.OPTIMAL] / total,
                 prop_feasible_non_optimal=counts[Classification.FEASIBLE_NON_OPTIMAL] / total,
@@ -235,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
         if progress is not None:
             last = summaries[-1]
             progress(
-                f"{inst.name}/{formulation}: {enc.qubit_count} qubits, "
+                f"{inst.name}/{enc.kind}: {enc.qubit_count} qubits, "
                 f"optimal {last.prop_optimal:.2f}, feasible {last.prop_feasible_non_optimal:.2f}, "
                 f"infeasible {last.prop_infeasible:.2f} ({cell_ms / 1000.0:.1f} s)"
             )
@@ -243,16 +246,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
 
 
 def write_rows_csv(rows: list[dict], path: Path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
 
 
 def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path: Path) -> None:
@@ -283,6 +280,9 @@ def verify(ref: str) -> list[tuple[str, bool, str]]:
     acceptance tests, so they are not repeated here.
     """
     inst = load_instance(ref)
+    encs = [encode(inst, formulation) for formulation in ("pubo", "qubo")]
+    for enc in encs:
+        check_register(enc.qubit_count)
     checks: list[tuple[str, bool, str]] = []
 
     optimum, optima = brute_force(inst)
@@ -292,18 +292,17 @@ def verify(ref: str) -> list[tuple[str, bool, str]]:
     wide_groups = sum(1 for j in served if len(inst.eligible_trains(j)) >= 2)
 
     opt_set = {(a.x, a.y) for a in optima}
-    for formulation in ("pubo", "qubo"):
-        enc = encode(inst, formulation)
-        want_qubits = n + q if formulation == "pubo" else n + q + wide_groups + n * r_bits
-        checks.append((f"{formulation} qubit count", enc.qubit_count == want_qubits,
+    for enc in encs:
+        want_qubits = n + q if enc.kind == "pubo" else n + q + wide_groups + n * r_bits
+        checks.append((f"{enc.kind} qubit count", enc.qubit_count == want_qubits,
                        f"{enc.qubit_count} vs formula {want_qubits}"))
         table = build_cost_table(enc.poly, enc.qubit_count)
         mins = table.minimizers()
         proj = {(enc.project(int(z)).x, enc.project(int(z)).y) for z in mins}
-        checks.append((f"{formulation} minimum equals optimum",
+        checks.append((f"{enc.kind} minimum equals optimum",
                        abs(table.min_value() - optimum) <= OPTIMUM_TOL,
                        f"{table.min_value()} vs {optimum}"))
-        checks.append((f"{formulation} minimizers project to optima", proj == opt_set,
+        checks.append((f"{enc.kind} minimizers project to optima", proj == opt_set,
                        f"{len(mins)} minimizers over {len(proj)} projections vs {len(opt_set)} optima"))
     return checks
 

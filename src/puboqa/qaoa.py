@@ -123,9 +123,7 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     coefficients of moderate size; otherwise it equals pointwise evaluation
     up to rounding.
     """
-    if num_qubits > QUBIT_CAP:
-        raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit table cap")
-    check_memory(num_qubits)
+    check_register(num_qubits)
     vars_used = poly.variables()
     if vars_used and vars_used[-1] >= num_qubits:
         raise ValueError(
@@ -142,13 +140,15 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     return CostTable(num_qubits, values)
 
 
-def check_memory(num_qubits: int, processes: int = 1) -> None:
-    """Refuse a register whose tables and statevectors cannot fit in memory.
+def check_register(num_qubits: int, processes: int = 1) -> None:
+    """Refuse a register above QUBIT_CAP qubits or too large for memory.
 
     Each of `processes` processes is estimated at BYTES_PER_STATE bytes per
     basis state; a total above the machine's physical memory raises
-    ValueError. Where physical memory cannot be read, nothing is checked.
+    ValueError. Where physical memory cannot be read, only the cap is checked.
     """
+    if num_qubits > QUBIT_CAP:
+        raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
     need = processes * (BYTES_PER_STATE << num_qubits)
     have = _physical_memory()
     if have is not None and need > have:
@@ -587,8 +587,7 @@ def run(table: CostTable, config: QaoaConfig = QaoaConfig(), seed: int | None = 
     large enough for the sampler's two-level search, evolve also writes the
     block totals that sample then reads.
     """
-    if table.num_qubits > QUBIT_CAP:
-        raise ValueError(f"{table.num_qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
+    check_register(table.num_qubits)
     if seed is None:
         raise ValueError("a seed is required")
 

@@ -2,7 +2,8 @@
 
 Every constraint in canonical form lhs <= 0 is replaced by a polynomial that
 vanishes exactly on satisfying assignments and is at least 1 on violating
-ones. Four constructions are provided:
+ones (for slack_penalty, once minimized over the slack bits it returns beside
+the polynomial). Four constructions are provided:
 
 * threshold penalties (eq_penalty, le_penalty, ge_penalty) for constraints
   that compare a unit-coefficient sum of distinct binary variables against an
@@ -33,18 +34,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import Constraint, Problem
 from .pbf import Monomial, Polynomial, VarId, _normalize_key
-
-KIND_BINARY = "binary-valued"
-KIND_PRODUCT = "product-form"
-KIND_SLACK = "slack-quadratic"
-KIND_GADGET = "linearization-gadget"
-_KINDS = (KIND_BINARY, KIND_PRODUCT, KIND_SLACK, KIND_GADGET)
 
 # A threshold penalty over g variables has about 2^g monomials, and a gated
 # one about 2^(g+1). The cap refuses them before they are expanded: a PUBO
@@ -55,31 +49,7 @@ _KINDS = (KIND_BINARY, KIND_PRODUCT, KIND_SLACK, KIND_GADGET)
 # many as one gated penalty at the cap: the penalties all stay alive until
 # they are composed, so their peaks add up.
 MAX_SYMMETRIC_VARS = 20
-DEFAULT_PRODUCT_CAP = 20
-
-
-@dataclass(frozen=True)
-class PenaltyTerm:
-    """One penalty polynomial plus the weight it enters the objective with.
-
-    poly is 0 on satisfying assignments and >= 1 on violating ones. For the
-    slack-quadratic kind this holds after minimizing over the slack bits
-    listed in slack_vars; for the binary-valued kind poly is 0 or 1
-    everywhere.
-    """
-
-    poly: Polynomial
-    kind: str
-    lam: float = 1.0
-    slack_vars: tuple[VarId, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
-        check_weight(self.lam)
-
-    def with_lambda(self, lam: float) -> PenaltyTerm:
-        return replace(self, lam=lam)
+PRODUCT_CAP = 20
 
 
 def check_weight(lam: float) -> None:
@@ -91,7 +61,7 @@ def check_weight(lam: float) -> None:
 # threshold penalties ---------------------------------------------------------
 
 
-def eq_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
+def eq_penalty(vars: Sequence[VarId], c: int) -> Polynomial:
     """Binary-valued penalty for: exactly c of the given variables are 1.
 
     For c >= 1 the polynomial is
@@ -107,10 +77,10 @@ def eq_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
     if c == 0:
         return le_penalty(vars, 0)
     weights = {0: 1.0} | {k: float((-1) ** (k - c + 1) * math.comb(k, c)) for k in range(c, n + 1)}
-    return PenaltyTerm(_expand(vars, weights), KIND_BINARY)
+    return _expand(vars, weights)
 
 
-def le_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
+def le_penalty(vars: Sequence[VarId], c: int) -> Polynomial:
     """Binary-valued penalty for: at most c of the given variables are 1.
 
         sum_{k=c+1}^{n} (-1)^(k-c+1) C(k-1,c) e_k
@@ -120,10 +90,10 @@ def le_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
     capacity bound exceeds the number of candidates it limits. c < 0 is
     rejected (a sum of binary variables is never negative).
     """
-    return PenaltyTerm(_expand(vars, _le_weights(vars, c)), KIND_BINARY)
+    return _expand(vars, _le_weights(vars, c))
 
 
-def ge_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
+def ge_penalty(vars: Sequence[VarId], c: int) -> Polynomial:
     """Binary-valued penalty for: at least c of the given variables are 1.
 
         1 + sum_{k=c}^{n} (-1)^(k-c+1) C(k-1,c-1) e_k
@@ -131,7 +101,7 @@ def ge_penalty(vars: Sequence[VarId], c: int) -> PenaltyTerm:
     Requires 1 <= c <= n: c = 0 is vacuous (use the zero polynomial instead)
     and c > n is unsatisfiable.
     """
-    return PenaltyTerm(_expand(vars, _ge_weights(vars, c)), KIND_BINARY)
+    return _expand(vars, _ge_weights(vars, c))
 
 
 def _le_weights(vars: Sequence[VarId], c: int) -> dict[int, float]:
@@ -190,7 +160,7 @@ def _terms(vars: Sequence[VarId], weights: dict[int, float]) -> int:
 # product penalty -------------------------------------------------------------
 
 
-def product_penalty(c: Constraint, ub_cap: int = DEFAULT_PRODUCT_CAP) -> PenaltyTerm:
+def product_penalty(c: Constraint) -> Polynomial:
     """Penalty for an arbitrary integer-coefficient constraint lhs <= 0.
 
     Multiplies the shifted copies lhs, lhs+1, ..., lhs+UB where UB is the sum
@@ -201,21 +171,21 @@ def product_penalty(c: Constraint, ub_cap: int = DEFAULT_PRODUCT_CAP) -> Penalty
     coefficients are integers, which Constraint checks.
     """
     ub = sum(abs(int(round(coeff))) for coeff in c.lhs.terms.values())
-    if ub > ub_cap:
+    if ub > PRODUCT_CAP:
         raise ValueError(
-            f"product penalty would multiply {ub + 1} factors, above the cap {ub_cap}; "
-            "tighten the constraint or raise ub_cap"
+            f"product penalty would multiply {ub + 1} factors, above the cap {PRODUCT_CAP}; "
+            "tighten the constraint"
         )
     out = Polynomial.constant(1.0)
     for j in range(ub + 1):
         out = out * (c.lhs + j)
-    return PenaltyTerm(out, KIND_PRODUCT)
+    return out
 
 
 # slack penalty ---------------------------------------------------------------
 
 
-def slack_penalty(c: Constraint, first_slack_id: VarId | None = None) -> PenaltyTerm:
+def slack_penalty(c: Constraint, first_slack_id: VarId) -> tuple[Polynomial, tuple[VarId, ...]]:
     """Quadratic penalty (lhs + s)^2 with s a base-2 encoded slack variable.
 
     The slack absorbs how far lhs sits below 0: s ranges over the bit
@@ -225,9 +195,9 @@ def slack_penalty(c: Constraint, first_slack_id: VarId | None = None) -> Penalty
     every slack value and the square is >= 1. Slack values overshooting
     -min(lhs) are harmless for the same reason.
 
-    Slack bit ids start at first_slack_id, or right after the largest id in
-    lhs when not given. Callers composing several penalties should pass
-    explicit ids to keep the spaces disjoint.
+    Returns the penalty and its slack bit ids, counted up from
+    first_slack_id; callers composing several penalties keep the id ranges
+    disjoint.
     """
     lhs = c.lhs
     if lhs.degree > 1:
@@ -238,26 +208,21 @@ def slack_penalty(c: Constraint, first_slack_id: VarId | None = None) -> Penalty
         raise ValueError("constraint is unsatisfiable: lhs is positive everywhere")
     need = -lo
     width = need.bit_length()
-    base = first_slack_id
-    if base is None:
-        base = max(lhs.variables(), default=-1) + 1
-    slack_ids = tuple(base + j for j in range(width))
+    slack_ids = tuple(first_slack_id + j for j in range(width))
     s_poly = Polynomial.from_terms(((sid,), 1 << j) for j, sid in enumerate(slack_ids))
-    pen = (lhs + s_poly) ** 2
-    return PenaltyTerm(pen, KIND_SLACK, slack_vars=slack_ids)
+    return (lhs + s_poly) ** 2, slack_ids
 
 
 # quadratization --------------------------------------------------------------
 
 
-def linearization_gadget(a: VarId, b: VarId, y: VarId) -> PenaltyTerm:
+def linearization_gadget(a: VarId, b: VarId, y: VarId) -> Polynomial:
     """Penalty that is 0 exactly when y = a*b.
 
     The polynomial a*b - 2ay - 2by + 3y takes value 1 on (1,1,0), 1 on
     (0,1,1) and (1,0,1), 3 on (0,0,1), and 0 on every consistent triple.
     """
-    poly = Polynomial({(a, b): 1.0, (a, y): -2.0, (b, y): -2.0, (y,): 3.0})
-    return PenaltyTerm(poly, KIND_GADGET)
+    return Polynomial({(a, b): 1.0, (a, y): -2.0, (b, y): -2.0, (y,): 3.0})
 
 
 def reduce_to_quadratic(
@@ -290,7 +255,7 @@ def reduce_to_quadratic(
         a, b = min(pair for pair, cnt in counts.items() if cnt == top)
         y = next_var
         next_var += 1
-        current = _substitute_pair(current, a, b, y) + lam * linearization_gadget(a, b, y).poly
+        current = _substitute_pair(current, a, b, y) + lam * linearization_gadget(a, b, y)
         records.append((a, b, y))
     return current, tuple(records)
 
@@ -317,17 +282,21 @@ def lambda_default(objective: Polynomial) -> float:
     return (hi - lo) + 1.0
 
 
-def compose_unconstrained(objective: Polynomial, penalties: Iterable[PenaltyTerm]) -> Polynomial:
-    """objective + sum of lam * penalty over all terms, as one Polynomial.
+def compose_unconstrained(
+    objective: Polynomial, penalties: Iterable[tuple[float, Polynomial]]
+) -> Polynomial:
+    """objective + sum of lam * penalty over (lam, penalty) pairs, as one Polynomial.
 
-    The terms are summed into one dict, each monomial as acc[m] + lam * c in
-    penalty order; at the end monomials whose total is below COEFF_EPS are
-    dropped. The keys are those of the polynomials, so none is re-sorted.
+    Each weight must pass check_weight. The terms are summed into one dict,
+    each monomial as acc[m] + lam * c in penalty order; at the end monomials
+    whose total is below COEFF_EPS are dropped. The keys are those of the
+    polynomials, so none is re-sorted.
     """
     acc = dict(objective.terms)
-    for term in penalties:
-        lam = float(term.lam)
-        for mono, coeff in term.poly.terms.items():
+    for lam, penalty in penalties:
+        check_weight(lam)
+        lam = float(lam)
+        for mono, coeff in penalty.terms.items():
             acc[mono] = acc.get(mono, 0.0) + lam * coeff
     return Polynomial._from_normalized(acc)
 
@@ -340,8 +309,8 @@ def compile_problem(
     On the "pubo" route each constraint gets penalty_for, which needs no
     extra variables. On the "qubo" route each gets slack_penalty, with slack
     bit ids counted up from problem.num_variables in constraint order. Each
-    penalty enters with its constraint's weight, which PenaltyTerm checks
-    with check_weight.
+    penalty enters with its constraint's weight, which compose_unconstrained
+    checks with check_weight.
     Returns the composed polynomial and, per constraint, its slack bit ids
     (empty on the pubo route). Integer programs go through model.binarize
     first.
@@ -358,20 +327,20 @@ def compile_problem(
             f"2^{MAX_SYMMETRIC_VARS + 1} of one gated penalty at the "
             f"{MAX_SYMMETRIC_VARS}-variable cap"
         )
-    penalties: list[PenaltyTerm] = []
+    penalties, slack = [], []
     next_id = problem.num_variables
     for i, (con, lam) in enumerate(zip(problem.constraints, weights, strict=True)):
         if route == "pubo":
-            term = readings[i].penalty()
+            poly, ids = readings[i].penalty(), ()
         else:
-            term = slack_penalty(con, first_slack_id=next_id)
-            next_id += len(term.slack_vars)
-        penalties.append(term.with_lambda(lam))
-    poly = compose_unconstrained(problem.objective, penalties)
-    return poly, tuple(term.slack_vars for term in penalties)
+            poly, ids = slack_penalty(con, next_id)
+            next_id += len(ids)
+        penalties.append((lam, poly))
+        slack.append(ids)
+    return compose_unconstrained(problem.objective, penalties), tuple(slack)
 
 
-def penalty_for(c: Constraint) -> PenaltyTerm:
+def penalty_for(c: Constraint) -> Polynomial:
     """Pick the penalty construction a canonical constraint calls for.
 
     A linear lhs sum(a_v x_v) - b is read by its coefficients:
@@ -396,7 +365,7 @@ class _Reading(NamedTuple):
     expansions write (0 if none), and the call that builds its penalty."""
 
     terms: int
-    penalty: Callable[[], PenaltyTerm]
+    penalty: Callable[[], Polynomial]
 
 
 def _read(c: Constraint) -> _Reading:
@@ -415,7 +384,7 @@ def _read(c: Constraint) -> _Reading:
         return _Reading(_terms(ones, _le_weights(ones, b)), lambda: le_penalty(ones, b))
     if others and not ones and all(a == -1 for _, a in others):
         if b >= 0:
-            return _Reading(0, lambda: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
+            return _Reading(0, Polynomial.zero)
         ys = [v for v, _ in others]
         return _Reading(_terms(ys, _ge_weights(ys, -b)), lambda: ge_penalty(ys, -b))
     if len(others) == 1 and others[0][1] <= -1 and b >= 0:
@@ -424,7 +393,7 @@ def _read(c: Constraint) -> _Reading:
     return _Reading(0, lambda: product_penalty(c))
 
 
-def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> PenaltyTerm:
+def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> Polynomial:
     """(1 - gate) * le_penalty(ys, b) + gate * le_penalty(ys, b + g).
 
     Written out term by term: each monomial m of the closed-gate penalty
@@ -432,10 +401,10 @@ def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> Penal
     coefficient minus the closed one. The open-gate penalty has no monomial
     the closed one lacks.
     """
-    closed = le_penalty(ys, b).poly.terms
-    opened = le_penalty(ys, b + g).poly.terms
+    closed = le_penalty(ys, b).terms
+    opened = le_penalty(ys, b + g).terms
     acc = dict(closed)
     for mono, coeff in closed.items():
         i = bisect_left(mono, gate)
         acc[mono[:i] + (gate,) + mono[i:]] = opened.get(mono, 0.0) - coeff
-    return PenaltyTerm(Polynomial._from_normalized(acc), KIND_BINARY)
+    return Polynomial._from_normalized(acc)

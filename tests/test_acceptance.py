@@ -56,7 +56,7 @@ def test_criterion_1_penalty_soundness():
         ]
         for label, fn, cs in families:
             for c in cs:
-                values = build_cost_table(fn(range(n), c).poly, n).values
+                values = build_cost_table(fn(range(n), c), n).values
                 if label == "exactly":
                     sat = pop == c
                 elif label == "at-most":
@@ -86,7 +86,7 @@ def test_criterion_1_penalty_soundness():
             continue
         cases += 1
         biggest = max(biggest, k)
-        pen = build_cost_table(product_penalty(con, ub_cap=20).poly, k).values
+        pen = build_cost_table(product_penalty(con), k).values
         lhs_vals = build_cost_table(con.lhs, k).values
         sat = lhs_vals <= 1e-9
         if not np.all(np.abs(pen[sat]) <= 1e-9):
@@ -115,8 +115,8 @@ def test_criterion_2_threshold_difference_identity():
         vs = range(n)
         for c in range(1, n + 1):
             pairs += 1
-            diff = eq_penalty(vs, c).poly - le_penalty(vs, c).poly
-            if ge_penalty(vs, c).poly != diff:
+            diff = eq_penalty(vs, c) - le_penalty(vs, c)
+            if ge_penalty(vs, c) != diff:
                 bad.append(f"n={n} c={c}")
     _verdict(
         2,

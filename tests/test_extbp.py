@@ -166,6 +166,10 @@ class TestInstances:
             pytest.param("cmax", 10**400, "2\\^53", id="cmax-huge-int"),
             pytest.param("cmax", 2**53 + 1, "2\\^53", id="cmax-above-2^53"),
             pytest.param("cmax", 1e300, "2\\^53", id="cmax-huge-float"),
+            pytest.param("name", 5, "name must be a string", id="name-int"),
+            pytest.param("name", None, "name must be a string", id="name-null"),
+            pytest.param("name", True, "name must be a string", id="name-bool"),
+            pytest.param("name", ["A"], "name must be a string", id="name-list"),
         ],
     )
     def test_from_obj_refuses_coercion(self, field, value, msg):
@@ -470,26 +474,26 @@ def oracle_encoding(inst, kind, lam_uni=None, lam_capa=None):
     trains = [[n + k for k, (ii, _) in enumerate(pairs) if ii == i] for i in range(n)]
     weighted = []
     if kind == "pubo":
-        weighted += [(lam_uni, le_penalty(yv, 1).poly) for yv in groups]
+        weighted += [(lam_uni, le_penalty(yv, 1)) for yv in groups]
         for i, yv in enumerate(trains):
             xi = Polynomial.variable(i)
-            cond = (1 - xi) * eq_penalty(yv, 0).poly + xi * le_penalty(yv, inst.cmax).poly
+            cond = (1 - xi) * eq_penalty(yv, 0) + xi * le_penalty(yv, inst.cmax)
             weighted.append((lam_capa, cond))
     else:
         for j, yv in enumerate(groups):
             if len(yv) < 2:
                 continue
             con = canonicalize("<=", Polynomial.from_terms(((v,), 1.0) for v in yv), 1)[0]
-            term = slack_penalty(con, first_slack_id=next_id)
-            weighted.append((lam_uni, term.poly))
-            names.extend(f"s_{j}" for _ in term.slack_vars)
-            next_id += len(term.slack_vars)
+            pen, ids = slack_penalty(con, first_slack_id=next_id)
+            weighted.append((lam_uni, pen))
+            names.extend(f"s_{j}" for _ in ids)
+            next_id += len(ids)
         for i, yv in enumerate(trains):
             lhs = Polynomial.from_terms([((v,), 1.0) for v in yv] + [((i,), -float(inst.cmax))])
-            term = slack_penalty(canonicalize("<=", lhs, 0)[0], first_slack_id=next_id)
-            weighted.append((lam_capa, term.poly))
-            names.extend(f"r_{i}_{b}" for b in range(len(term.slack_vars)))
-            next_id += len(term.slack_vars)
+            pen, ids = slack_penalty(canonicalize("<=", lhs, 0)[0], first_slack_id=next_id)
+            weighted.append((lam_capa, pen))
+            names.extend(f"r_{i}_{b}" for b in range(len(ids)))
+            next_id += len(ids)
     poly = objective_polynomial(inst)
     for w, pen in weighted:
         poly = poly + w * pen

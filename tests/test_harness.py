@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import multiprocessing
@@ -217,6 +218,20 @@ class TestFileOutputs:
         for line, row in zip(lines[1:], rows):
             cells = line.split(",")
             assert float(cells[loss_col]) == row["best_loss_unconstrained"]
+
+    def test_csv_quotes_an_awkward_instance_name(self, tmp_path):
+        rows, _ = run_experiment(SMALL)
+        name = 'a,b\nc"d'
+        for row in rows:
+            row["instance"] = name
+        path = tmp_path / "out.csv"
+        write_rows_csv(rows, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *read = list(csv.reader(fh))
+        assert header == CSV_COLUMNS
+        assert len(read) == len(rows)
+        assert all(len(cells) == len(CSV_COLUMNS) for cells in read)
+        assert {cells[CSV_COLUMNS.index("instance")] for cells in read} == {name}
 
     def test_csv_identical_modulo_wall_time(self, tmp_path):
         wall = CSV_COLUMNS.index("wall_ms")
@@ -483,6 +498,24 @@ class TestCli:
             assert "error:" in capsys.readouterr().err
         assert not runs.called
         assert not list(tmp_path.rglob("*.csv"))
+
+    def test_register_refused_before_brute_force(self, tmp_path, capsys):
+        # 3 trains x 9 disjoint groups: 30 bits, which brute force would
+        # take seconds to scan, and 30 pubo qubits, above the cap.
+        obj = {"name": "wide", "num_groups": 27, "cmax": 9,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": list(range(9 * i, 9 * i + 9))}
+                          for i in range(3)]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        commands = [
+            ["verify", "--instance", str(path)],
+            ["experiment", "--instance", str(path), "--runs", "1", "--threads", "1",
+             "--out", str(tmp_path / "x")],
+        ]
+        with mock.patch.object(harness, "brute_force", side_effect=AssertionError("brute force ran")):
+            for argv in commands:
+                assert main(argv) == 2, argv
+                assert "30 qubits exceeds the 26-qubit cap" in capsys.readouterr().err
 
     def test_export_stdout_is_valid_json(self, capsys):
         code = main(["export", "--instance", "A", "--formulation", "qubo"])

@@ -8,7 +8,7 @@ import pytest
 
 from puboqa.model import BinCodec, Constraint, Problem, binarize, canonicalize
 from puboqa.pbf import Polynomial
-from puboqa.reformulate import KIND_PRODUCT, le_penalty, penalty_for
+from puboqa.reformulate import le_penalty, penalty_for, product_penalty
 
 
 def lin(*coeffs, const=0.0):
@@ -63,10 +63,10 @@ class TestUnitSumTag:
         # it gets the product penalty, zero exactly on the feasible points.
         (c,) = canonicalize("<=", lin(2, 1), 2)
         assert c.lhs == lin(2, 1, const=-2)
-        term = penalty_for(c)
-        assert term.kind == KIND_PRODUCT
+        poly = penalty_for(c)
+        assert poly == product_penalty(c)
         for bits in product((0, 1), repeat=2):
-            assert (term.poly.evaluate(bits) == 0) == c.is_satisfied(bits)
+            assert (poly.evaluate(bits) == 0) == c.is_satisfied(bits)
 
 
 class TestProblem:
@@ -138,8 +138,8 @@ class TestBinarize:
         binary, _ = binarize(prob)
         uni, cap = binary.constraints
         assert cap.lhs == Polynomial.from_terms([((2,), 1), ((3,), 2), ((), -2)])
-        assert penalty_for(uni).poly == le_penalty([0, 1], 1).poly
-        assert penalty_for(cap).kind == KIND_PRODUCT
+        assert penalty_for(uni) == le_penalty([0, 1], 1)
+        assert penalty_for(cap) == product_penalty(cap)
 
     def test_encode_rejects_unrepresentable(self):
         prob = Problem((2,), Polynomial.variable(0))

@@ -30,7 +30,7 @@ from puboqa.qaoa import (
     _block_matrix,
     bits_string,
     build_cost_table,
-    check_memory,
+    check_register,
     estimate_loss,
     evolve,
     optimize,
@@ -156,7 +156,7 @@ class TestMemoryBudget:
         monkeypatch.setattr(qaoa, "_physical_memory", lambda: BYTES_PER_STATE << 10)
 
     def test_fits(self, ten_qubits_of_memory):
-        check_memory(10)
+        check_register(10)
         assert build_cost_table(V(0), 10).values.shape == (1 << 10,)
 
     def test_refused_before_allocating(self, ten_qubits_of_memory):
@@ -164,13 +164,13 @@ class TestMemoryBudget:
             build_cost_table(V(0), 11)
 
     def test_scales_with_processes(self, ten_qubits_of_memory):
-        check_memory(9, processes=2)
+        check_register(9, processes=2)
         with pytest.raises(ValueError, match="x 3 process"):
-            check_memory(9, processes=3)
+            check_register(9, processes=3)
 
     def test_unknown_memory_is_not_checked(self, monkeypatch):
         monkeypatch.setattr(qaoa, "_physical_memory", lambda: None)
-        check_memory(QUBIT_CAP, processes=1000)
+        check_register(QUBIT_CAP, processes=1000)
 
     def test_reads_physical_memory(self):
         assert qaoa._physical_memory() > 0

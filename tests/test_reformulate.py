@@ -15,10 +15,7 @@ from puboqa.model import Problem, binarize, canonicalize
 from puboqa import reformulate
 from puboqa.pbf import Polynomial, _normalize_key
 from puboqa.reformulate import (
-    KIND_BINARY,
-    KIND_PRODUCT,
     MAX_SYMMETRIC_VARS,
-    PenaltyTerm,
     compile_problem,
     compose_unconstrained,
     eq_penalty,
@@ -45,7 +42,7 @@ class TestThresholdSoundness:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_eq_indicator(self, n):
         for c in range(n + 1):
-            poly = eq_penalty(range(n), c).poly
+            poly = eq_penalty(range(n), c)
             for bits in all_assignments(n):
                 want = 0.0 if sum(bits) == c else 1.0
                 assert poly.evaluate(bits) == pytest.approx(want, abs=1e-9)
@@ -53,7 +50,7 @@ class TestThresholdSoundness:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_le_indicator(self, n):
         for c in range(n):
-            poly = le_penalty(range(n), c).poly
+            poly = le_penalty(range(n), c)
             for bits in all_assignments(n):
                 want = 0.0 if sum(bits) <= c else 1.0
                 assert poly.evaluate(bits) == pytest.approx(want, abs=1e-9)
@@ -61,60 +58,56 @@ class TestThresholdSoundness:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_ge_indicator(self, n):
         for c in range(1, n + 1):
-            poly = ge_penalty(range(n), c).poly
+            poly = ge_penalty(range(n), c)
             for bits in all_assignments(n):
                 want = 0.0 if sum(bits) >= c else 1.0
                 assert poly.evaluate(bits) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("n,c", [(1, 1), (2, 2), (3, 5), (4, 100)])
     def test_le_vacuous_threshold_is_zero(self, n, c):
-        assert le_penalty(range(n), c).poly.is_zero()
+        assert le_penalty(range(n), c).is_zero()
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_ge_equals_eq_minus_le(self, n):
         for c in range(1, n + 1):
-            lhs = ge_penalty(range(n), c).poly
-            rhs = eq_penalty(range(n), c).poly - le_penalty(range(n), c).poly
+            lhs = ge_penalty(range(n), c)
+            rhs = eq_penalty(range(n), c) - le_penalty(range(n), c)
             assert lhs == rhs
 
 
 class TestThresholdExamples:
     def test_not_gate(self):
-        assert eq_penalty([5], 0).poly == V(5)
+        assert eq_penalty([5], 0) == V(5)
 
     def test_eq_zero_two_vars(self):
         want = Polynomial({(0,): 1.0, (1,): 1.0, (0, 1): -1.0})
-        assert eq_penalty([0, 1], 0).poly == want
+        assert eq_penalty([0, 1], 0) == want
 
     def test_eq_one_two_vars(self):
         want = Polynomial({(): 1.0, (0,): -1.0, (1,): -1.0, (0, 1): 2.0})
-        assert eq_penalty([0, 1], 1).poly == want
+        assert eq_penalty([0, 1], 1) == want
 
     def test_eq_two_three_vars(self):
         want = Polynomial(
             {(): 1.0, (0, 1): -1.0, (0, 2): -1.0, (1, 2): -1.0, (0, 1, 2): 3.0}
         )
-        assert eq_penalty([0, 1, 2], 2).poly == want
+        assert eq_penalty([0, 1, 2], 2) == want
 
     def test_and_gate(self):
-        assert le_penalty([0, 1], 1).poly == Polynomial({(0, 1): 1.0})
+        assert le_penalty([0, 1], 1) == Polynomial({(0, 1): 1.0})
 
     def test_le_one_three_vars(self):
         want = Polynomial(
             {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 1, 2): -2.0}
         )
-        assert le_penalty([0, 1, 2], 1).poly == want
+        assert le_penalty([0, 1, 2], 1) == want
 
     def test_nor_gate(self):
         want = Polynomial({(): 1.0, (0,): -1.0, (1,): -1.0, (0, 1): 1.0})
-        assert ge_penalty([0, 1], 1).poly == want
-
-    def test_kind_and_defaults(self):
-        term = eq_penalty([0, 1], 1)
-        assert term.kind == KIND_BINARY and term.lam == 1.0 and term.slack_vars == ()
+        assert ge_penalty([0, 1], 1) == want
 
     def test_variable_order_is_irrelevant(self):
-        assert eq_penalty([2, 0, 1], 1).poly == eq_penalty([0, 1, 2], 1).poly
+        assert eq_penalty([2, 0, 1], 1) == eq_penalty([0, 1, 2], 1)
 
 
 class TestThresholdErrors:
@@ -170,20 +163,19 @@ class TestProductPenalty:
             lhs = Polynomial.from_terms(((i,), c) for i, c in enumerate(coeffs))
             (con,) = canonicalize(rel, lhs, rhs)
             ub = sum(abs(int(round(c))) for c in con.lhs.terms.values())
-            term = product_penalty(con)
-            assert term.kind == KIND_PRODUCT
+            poly = product_penalty(con)
             for bits in all_assignments(len(coeffs)):
                 val = con.lhs.evaluate(bits)
                 want = 1.0
                 for j in range(ub + 1):
                     want *= val + j
-                assert term.poly.evaluate(bits) == pytest.approx(want, abs=1e-6)
+                assert poly.evaluate(bits) == pytest.approx(want, abs=1e-6)
 
     def test_zero_iff_satisfied(self):
         for coeffs, rel, rhs in self.cases():
             lhs = Polynomial.from_terms(((i,), c) for i, c in enumerate(coeffs))
             (con,) = canonicalize(rel, lhs, rhs)
-            poly = product_penalty(con).poly
+            poly = product_penalty(con)
             for bits in all_assignments(len(coeffs)):
                 v = poly.evaluate(bits)
                 if con.is_satisfied(bits):
@@ -194,7 +186,7 @@ class TestProductPenalty:
     def test_nonlinear_lhs_supported(self):
         # x0*x1 - x2 <= 0 holds unless x0 = x1 = 1 and x2 = 0
         (con,) = canonicalize("<=", Polynomial({(0, 1): 1.0}) - V(2), 0)
-        poly = product_penalty(con).poly
+        poly = product_penalty(con)
         for bits in all_assignments(3):
             violated = bits[0] and bits[1] and not bits[2]
             assert (poly.evaluate(bits) >= 1.0 - 1e-9) == violated
@@ -204,17 +196,16 @@ class TestProductPenalty:
         (con,) = canonicalize("<=", lhs, 1)
         with pytest.raises(ValueError, match="cap"):
             product_penalty(con)
-        assert product_penalty(con, ub_cap=40).poly is not None
 
 
 class TestSlackPenalty:
     def test_single_variable_example(self):
         # y0 - 1 <= 0 needs one slack bit: (y0 - 1 + s)^2
         (con,) = canonicalize("<=", V(0), 1)
-        term = slack_penalty(con)
-        assert term.slack_vars == (1,)
+        poly, ids = slack_penalty(con, 1)
+        assert ids == (1,)
         want = Polynomial({(): 1.0, (0,): -1.0, (1,): -1.0, (0, 1): 2.0})
-        assert term.poly == want
+        assert poly == want
 
     def test_min_over_slack_is_violation_square(self):
         rng = random.Random(11)
@@ -230,11 +221,11 @@ class TestSlackPenalty:
             lo, _ = con.lhs.interval_bounds()
             if lo > 0:
                 continue
-            term = slack_penalty(con, first_slack_id=n)
-            k = len(term.slack_vars)
+            poly, ids = slack_penalty(con, first_slack_id=n)
+            k = len(ids)
             for bits in all_assignments(n):
                 best = min(
-                    term.poly.evaluate(bits + sbits)
+                    poly.evaluate(bits + sbits)
                     for sbits in all_assignments(k)
                 )
                 val = con.lhs.evaluate(bits)
@@ -243,29 +234,29 @@ class TestSlackPenalty:
 
     def test_no_slack_when_min_is_zero(self):
         (con,) = canonicalize("<=", V(0) + V(1), 0)
-        term = slack_penalty(con, first_slack_id=2)
-        assert term.slack_vars == ()
-        assert term.poly == (con.lhs) ** 2
+        poly, ids = slack_penalty(con, first_slack_id=2)
+        assert ids == ()
+        assert poly == (con.lhs) ** 2
 
     def test_explicit_slack_ids(self):
         (con,) = canonicalize("<=", V(0) + V(1) + V(2), 1)
-        term = slack_penalty(con, first_slack_id=10)
-        assert term.slack_vars == (10,)
+        _, ids = slack_penalty(con, first_slack_id=10)
+        assert ids == (10,)
 
     def test_unsatisfiable_rejected(self):
         (con,) = canonicalize(">=", V(0), 5)
         with pytest.raises(ValueError, match="unsatisfiable"):
-            slack_penalty(con)
+            slack_penalty(con, 1)
 
     def test_nonlinear_lhs_rejected(self):
         (con,) = canonicalize("<=", Polynomial({(0, 1): 1.0}), 0)
         with pytest.raises(ValueError, match="linear"):
-            slack_penalty(con)
+            slack_penalty(con, 1)
 
 
 class TestGadget:
     def test_truth_table(self):
-        poly = linearization_gadget(0, 1, 2).poly
+        poly = linearization_gadget(0, 1, 2)
         for a, b, y in all_assignments(3):
             val = poly.evaluate((a, b, y))
             if y == a * b:
@@ -353,21 +344,18 @@ class TestAssembly:
 
     def test_compose_sums_weighted_penalties(self):
         obj = V(0)
-        pens = [eq_penalty([0, 1], 1).with_lambda(4.0)]
-        out = compose_unconstrained(obj, pens)
-        assert out == obj + 4.0 * eq_penalty([0, 1], 1).poly
+        out = compose_unconstrained(obj, [(4.0, eq_penalty([0, 1], 1))])
+        assert out == obj + 4.0 * eq_penalty([0, 1], 1)
 
     def test_penalty_term_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            PenaltyTerm(Polynomial.zero(), "mystery")
+        # A weighted penalty term is refused for its weight, even on a zero polynomial.
         with pytest.raises(ValueError, match="positive"):
-            PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=0.0)
+            compose_unconstrained(Polynomial.zero(), [(0.0, Polynomial.zero())])
         with pytest.raises(ValueError, match="finite"):
-            PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=float("inf"))
-        assert eq_penalty([0], 0).with_lambda(3.0).lam == 3.0
+            compose_unconstrained(Polynomial.zero(), [(float("inf"), Polynomial.zero())])
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
-    @pytest.mark.parametrize("entry", ["PenaltyTerm", "with_lambda", "reduce_to_quadratic",
+    @pytest.mark.parametrize("entry", ["compose_unconstrained", "reduce_to_quadratic",
                                        "compile_problem-pubo", "compile_problem-qubo",
                                        "encode-uni", "encode-capa", "encode-unused-uni"])
     def test_one_weight_rule(self, entry, lam):
@@ -376,8 +364,7 @@ class TestAssembly:
         prob = Problem((1, 1), Polynomial.zero(), tuple(canonicalize("<=", V(0) + V(1), 1)))
         lone = EbpInstance("lone", 1, 1, (Train(1.0, 1.0, (0,)),))
         calls = {
-            "PenaltyTerm": lambda: PenaltyTerm(Polynomial.zero(), KIND_BINARY, lam=lam),
-            "with_lambda": lambda: le_penalty([0, 1], 1).with_lambda(lam),
+            "compose_unconstrained": lambda: compose_unconstrained(V(0), [(lam, le_penalty([0, 1], 1))]),
             "reduce_to_quadratic": lambda: reduce_to_quadratic(Polynomial({(0, 1, 2): 1.0}), lam),
             "compile_problem-pubo": lambda: compile_problem(prob, "pubo", [lam]),
             "compile_problem-qubo": lambda: compile_problem(prob, "qubo", [lam]),
@@ -392,19 +379,19 @@ class TestAssembly:
 class TestPenaltyRouting:
     def test_unit_le_uses_threshold(self):
         (con,) = canonicalize("<=", V(0) + V(1), 1)
-        assert penalty_for(con).poly == le_penalty([0, 1], 1).poly
+        assert penalty_for(con) == le_penalty([0, 1], 1)
 
     def test_unit_ge_uses_threshold(self):
         (con,) = canonicalize(">=", V(0) + V(1) + V(2), 2)
-        assert penalty_for(con).poly == ge_penalty([0, 1, 2], 2).poly
+        assert penalty_for(con) == ge_penalty([0, 1, 2], 2)
 
     def test_vacuous_ge_gives_zero(self):
         (con,) = canonicalize(">=", V(0) + V(1), 0)
-        assert penalty_for(con).poly.is_zero()
+        assert penalty_for(con).is_zero()
 
     def test_vacuous_le_gives_zero(self):
         (con,) = canonicalize("<=", V(0) + V(1), 7)
-        assert penalty_for(con).poly.is_zero()
+        assert penalty_for(con).is_zero()
 
     def test_negative_le_bound_rejected(self):
         (con,) = canonicalize("<=", V(0) + V(1), -1)
@@ -413,45 +400,43 @@ class TestPenaltyRouting:
 
     def test_weighted_sum_uses_product(self):
         (con,) = canonicalize("<=", 2 * V(0) + V(1), 2)
-        assert penalty_for(con).kind == KIND_PRODUCT
+        assert penalty_for(con) == product_penalty(con)
 
     def test_equality_children_sum_to_eq(self):
         cs = canonicalize("==", V(0) + V(1) + V(2), 1)
         total = Polynomial.zero()
         for con in cs:
-            total = total + penalty_for(con).poly
-        assert total == eq_penalty([0, 1, 2], 1).poly
+            total = total + penalty_for(con)
+        assert total == eq_penalty([0, 1, 2], 1)
 
     def test_plain_sum(self):
         (con,) = canonicalize("<=", V(0) + V(1) + V(2), 2)
-        assert penalty_for(con).poly == le_penalty([0, 1, 2], 2).poly
+        assert penalty_for(con) == le_penalty([0, 1, 2], 2)
 
     def test_constant_folds_into_bound(self):
         (con,) = canonicalize("<=", V(0) + V(1) + 1, 2)
-        assert penalty_for(con).poly == le_penalty([0, 1], 1).poly
+        assert penalty_for(con) == le_penalty([0, 1], 1)
 
     def test_ge_direction(self):
         (con,) = canonicalize(">=", V(0) + V(1), 1)
-        assert penalty_for(con).poly == ge_penalty([0, 1], 1).poly
+        assert penalty_for(con) == ge_penalty([0, 1], 1)
 
     def test_quadratic_uses_product(self):
         (con,) = canonicalize("<=", Polynomial({(0, 1): 1.0}), 1)
-        assert penalty_for(con).kind == KIND_PRODUCT
+        assert penalty_for(con) == product_penalty(con)
 
     @pytest.mark.parametrize("b", [0, 1])
     def test_gated_sum_splits_on_the_gate(self, b):
         # y1 + y2 + y3 <= b + 2*x0, with the gate's id below the sum's
         (con,) = canonicalize("<=", V(1) + V(2) + V(3) - 2 * V(0), b)
-        term = penalty_for(con)
         x = V(0)
-        want = (1 - x) * le_penalty([1, 2, 3], b).poly + x * le_penalty([1, 2, 3], b + 2).poly
-        assert term.kind == KIND_BINARY
-        assert term.poly == want
+        want = (1 - x) * le_penalty([1, 2, 3], b) + x * le_penalty([1, 2, 3], b + 2)
+        assert penalty_for(con) == want
 
     def test_gated_sum_without_members_is_zero(self):
         # A gate with nothing behind it: -3*x <= 0 always holds.
         (con,) = canonicalize("<=", -3 * V(0), 0)
-        assert penalty_for(con).poly.is_zero()
+        assert penalty_for(con).is_zero()
 
     @pytest.mark.parametrize(
         "lhs,rhs",
@@ -464,7 +449,7 @@ class TestPenaltyRouting:
     )
     def test_near_miss_gated_shapes_use_product(self, lhs, rhs):
         (con,) = canonicalize("<=", lhs, rhs)
-        assert penalty_for(con).kind == KIND_PRODUCT
+        assert penalty_for(con) == product_penalty(con)
 
 
 class TestGatedSoundness:
@@ -478,11 +463,10 @@ class TestGatedSoundness:
             for b in range(3):
                 lhs = Polynomial.from_terms([((v,), 1) for v in ys] + [((gate,), -c)])
                 (con,) = canonicalize("<=", lhs, b)
-                term = penalty_for(con)
-                assert term.kind == KIND_BINARY
+                poly = penalty_for(con)
                 for bits in all_assignments(size + 1):
                     want = 0.0 if con.is_satisfied(bits) else 1.0
-                    assert term.poly.evaluate(bits) == want, (size, c, b, bits)
+                    assert poly.evaluate(bits) == want, (size, c, b, bits)
 
 
 def old_check_threshold_args(vars, c):
@@ -567,7 +551,6 @@ def bits_or_refusal(build, *args):
         poly = build(*args)
     except ValueError as exc:
         return str(exc)
-    poly = getattr(poly, "poly", poly)
     return [(mono, coeff.hex()) for mono, coeff in poly.terms.items()]
 
 
@@ -605,18 +588,18 @@ class TestCompileProblem:
     def test_pubo_route_composes_penalty_for(self):
         prob = self.problem()
         poly, slack = compile_problem(prob, "pubo", [2.0, 3.5])
-        pens = [penalty_for(c).with_lambda(w) for c, w in zip(prob.constraints, [2.0, 3.5])]
+        pens = [(w, penalty_for(c)) for c, w in zip(prob.constraints, [2.0, 3.5])]
         assert poly == compose_unconstrained(prob.objective, pens)
         assert slack == ((), ())
 
     def test_qubo_route_counts_slack_ids_up(self):
         prob = self.problem()
         poly, slack = compile_problem(prob, "qubo", [2.0, 3.5])
-        first = slack_penalty(prob.constraints[0], first_slack_id=4)
-        second = slack_penalty(prob.constraints[1], first_slack_id=5)
+        first, first_ids = slack_penalty(prob.constraints[0], first_slack_id=4)
+        second, second_ids = slack_penalty(prob.constraints[1], first_slack_id=5)
         assert slack == ((4,), (5, 6))
-        assert (first.slack_vars, second.slack_vars) == slack
-        want = compose_unconstrained(prob.objective, [first.with_lambda(2.0), second.with_lambda(3.5)])
+        assert (first_ids, second_ids) == slack
+        want = compose_unconstrained(prob.objective, [(2.0, first), (3.5, second)])
         assert poly == want
         assert poly.degree <= 2
 
@@ -655,7 +638,7 @@ class TestCompileProblem:
         # A gated penalty at the cap writes 2^21 - 2 terms: one fits the
         # budget and two do not. Nothing is expanded to find that out.
         monkeypatch.setattr(reformulate, "le_penalty",
-                            lambda vars, c: PenaltyTerm(Polynomial.zero(), KIND_BINARY))
+                            lambda vars, c: Polynomial.zero())
         compile_problem(self.gated_trains(1, MAX_SYMMETRIC_VARS), "pubo", [1.0])
         two = self.gated_trains(2, MAX_SYMMETRIC_VARS)
         with pytest.raises(ValueError, match=rf"{2 * (2 ** 21 - 2)} terms.*2\^21"):
@@ -675,7 +658,7 @@ class TestCompileProblem:
         ]
         for cons, exact in shapes:
             for c in cons:
-                written = len(penalty_for(c).poly.terms)
+                written = len(penalty_for(c).terms)
                 counted = reformulate._read(c).terms
                 assert counted == written if exact else written <= counted <= 2 * written + 2
 
@@ -684,8 +667,8 @@ class TestCompileProblem:
         # (0.1 + 0.7) + 0.3 is 1.0999999999999999, any other order gives 1.1.
         obj = Polynomial({(0,): 0.1})
         pens = [
-            PenaltyTerm(Polynomial({(0,): 0.7}), KIND_BINARY, lam=1.0),
-            PenaltyTerm(Polynomial({(0,): 0.3, (1,): 1.0}), KIND_BINARY, lam=1.0),
+            (1.0, Polynomial({(0,): 0.7})),
+            (1.0, Polynomial({(0,): 0.3, (1,): 1.0})),
         ]
         out = compose_unconstrained(obj, pens)
         assert out.terms == {(0,): (0.1 + 0.7) + 0.3, (1,): 1.0}
@@ -726,7 +709,7 @@ class TestEndToEndEquivalence:
             checked += 1
             lam = lambda_default(obj)
             try:
-                pens = [penalty_for(c).with_lambda(lam) for c in prob.constraints]
+                pens = [(lam, penalty_for(c)) for c in prob.constraints]
             except ValueError:
                 continue
             merged = compose_unconstrained(obj, pens)

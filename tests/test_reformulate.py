@@ -355,16 +355,21 @@ class TestAssembly:
             compose_unconstrained(Polynomial.zero(), [(float("inf"), Polynomial.zero())])
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
-    @pytest.mark.parametrize("entry", ["compose_unconstrained", "reduce_to_quadratic",
+    @pytest.mark.parametrize("entry", ["PenaltyTerm", "with_lambda", "reduce_to_quadratic",
                                        "compile_problem-pubo", "compile_problem-qubo",
                                        "encode-uni", "encode-capa", "encode-unused-uni"])
     def test_one_weight_rule(self, entry, lam):
         # Every entry point refuses the same weights with the same message;
-        # encode checks both weights, even one no constraint uses.
+        # encode checks both weights, even one no constraint uses. The
+        # "PenaltyTerm" and "with_lambda" ids name the weighted-penalty wrapper
+        # and its re-weighting call that (weight, polynomial) pairs replaced:
+        # compose_unconstrained checks a lone pair's weight and a later pair's.
         prob = Problem((1, 1), Polynomial.zero(), tuple(canonicalize("<=", V(0) + V(1), 1)))
         lone = EbpInstance("lone", 1, 1, (Train(1.0, 1.0, (0,)),))
         calls = {
-            "compose_unconstrained": lambda: compose_unconstrained(V(0), [(lam, le_penalty([0, 1], 1))]),
+            "PenaltyTerm": lambda: compose_unconstrained(V(0), [(lam, le_penalty([0, 1], 1))]),
+            "with_lambda": lambda: compose_unconstrained(
+                V(0), [(1.0, eq_penalty([0, 1], 1)), (lam, le_penalty([0, 1], 1))]),
             "reduce_to_quadratic": lambda: reduce_to_quadratic(Polynomial({(0, 1, 2): 1.0}), lam),
             "compile_problem-pubo": lambda: compile_problem(prob, "pubo", [lam]),
             "compile_problem-qubo": lambda: compile_problem(prob, "qubo", [lam]),

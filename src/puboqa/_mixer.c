@@ -1,12 +1,12 @@
 /* One QAOA layer applied in place to a complex128 statevector.
  *
- * puboqa_layer(psi, n, phase, inv, first, c, s, totals) sets amplitude z to
- * phase[inv[z]] (first != 0) or multiplies it by phase[inv[z]], then applies
- * [[c, -i s], [-i s, c]] to qubits 0, 1, ..., n-1 in that order. Each
- * rotation is the same few multiplies and adds for every amplitude, so the
- * result does not depend on how the work is blocked or vectorized, as long
- * as no multiply-add is fused: build without FMA and with
- * -ffp-contract=off.
+ * puboqa_layer(psi, n, phase, inv, first, c, s, totals, threads) sets
+ * amplitude z to phase[inv[z]] (first != 0) or multiplies it by
+ * phase[inv[z]], then applies [[c, -i s], [-i s, c]] to qubits 0, 1, ...,
+ * n-1 in that order. Each rotation is the same few multiplies and adds for
+ * every amplitude, so the result does not depend on how the work is blocked,
+ * vectorized or shared between threads, as long as no multiply-add is
+ * fused: build without FMA and with -ffp-contract=off.
  *
  * Every rotation runs on split planes, the real parts in one array and the
  * imaginary parts in another, so that a pass reads and writes whole rows of
@@ -16,12 +16,22 @@
  * de-interleaves slabs of 2^8 amplitudes from each of 2^7 rows into the
  * planes, applies up to 7 higher qubits there, and interleaves them back.
  *
+ * With threads >= 2, one helper thread takes a contiguous range of each
+ * sweep's work, on planes of its own, and the calling thread joins it
+ * before the next sweep or group of qubits starts: the first sweep is split
+ * by chunks, each group of the second by (outer, column) slab pairs at a
+ * multiple of four slabs. Every chunk and slab is still computed by one
+ * thread with the same arithmetic, so the bits do not depend on the thread
+ * count. If the helper cannot be started, the calling thread does its share.
+ *
  * If totals is not NULL and n >= 10, the write-out that finishes the layer
  * (the first sweep's for n <= 13, the last group's of the second sweep
  * above) also sets totals[k] to the sum of |psi[z]|^2 over the k-th block of
- * 2^10 amplitudes. Its order of additions is fixed, but not that of a
- * sequential sum. Returns 0, or -1 if the planes cannot be allocated.
+ * 2^10 amplitudes, on the thread that wrote the block. Its order of
+ * additions is fixed, but not that of a sequential sum. Returns 0, or -1 if
+ * the planes cannot be allocated.
  */
+#include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -138,25 +148,29 @@ INLINE double total(const double *restrict re, const double *restrict im, size_t
     return sum;
 }
 
-__attribute__((target_clones("avx2", "default")))
-int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
-                 int first, double c, double s, double *totals)
-{
-    int low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
-    size_t size = (size_t)1 << n, chunk = (size_t)1 << low, slab = (size_t)1 << SLAB_QUBITS;
-    size_t block = (size_t)1 << BLOCK_QUBITS;
-    size_t planes = n > CHUNK_QUBITS ? slab << GROUP_QUBITS : chunk;
-    if (n < BLOCK_QUBITS)
-        totals = NULL;
+/* One thread's share of one sweep of a layer: the first sweep (lo = 0) or
+ * the group of qubits from lo up in the second, on its own planes re and im.
+ * from..to counts chunks of the first sweep, or (outer, column) pairs of
+ * slabs of a group, in the order one thread would take them. */
+struct share {
+    double *psi, *totals, *re, *im;
+    const double *phase;
+    const intptr_t *inv;
+    double c, s;
+    int n, first, lo;
+    size_t from, to;
+};
 
-    double *re = malloc(sizeof(double) * 2 * planes);
-    if (re == NULL)
-        return -1;
-    double *im = re + planes;
-    for (size_t o = 0; o < size; o += chunk) {
-        double *x = psi + 2 * o;
-        const intptr_t *k = inv + o;
-        if (first)
+INLINE void first_sweep(const struct share *w)
+{
+    int n = w->n, low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
+    size_t chunk = (size_t)1 << low, block = (size_t)1 << BLOCK_QUBITS;
+    double *re = w->re, *im = w->im, *totals = w->totals, c = w->c, s = w->s;
+    const double *phase = w->phase;
+    for (size_t o = w->from * chunk; o < w->to * chunk; o += chunk) {
+        double *x = w->psi + 2 * o;
+        const intptr_t *k = w->inv + o;
+        if (w->first)
             for (size_t z = 0; z < chunk; z++) {
                 re[z] = phase[2 * k[z]];
                 im[z] = phase[2 * k[z] + 1];
@@ -174,27 +188,94 @@ int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
             for (size_t b = 0; b < chunk; b += block)
                 totals[(o + b) >> BLOCK_QUBITS] = total(re + b, im + b, block);
     }
+}
 
+INLINE void group(const struct share *w)
+{
+    int n = w->n, lo = w->lo, g = n - lo < GROUP_QUBITS ? n - lo : GROUP_QUBITS;
+    int last = w->totals != NULL && lo + g == n;
+    size_t slab = (size_t)1 << SLAB_QUBITS, block = (size_t)1 << BLOCK_QUBITS;
+    size_t rows = (size_t)1 << g, stride = (size_t)1 << lo, cols = stride / slab;
+    double *re = w->re, *im = w->im, *psi = w->psi, *totals = w->totals;
+    for (size_t p = w->from; p < w->to; p++) {
+        size_t col = p / cols * rows * stride + p % cols * slab;
+        for (size_t r = 0; r < rows; r++)
+            split(re + r * slab, im + r * slab, psi + 2 * (col + r * stride), slab);
+        mix(re, im, rows * slab, SLAB_QUBITS, SLAB_QUBITS + g, w->c, w->s);
+        for (size_t r = 0; r < rows; r++) {
+            size_t z = col + r * stride;
+            join(psi + 2 * z, re + r * slab, im + r * slab, slab);
+            if (!last)
+                continue;
+            /* A block is four slabs of one row, in column order. */
+            double t = total(re + r * slab, im + r * slab, slab);
+            size_t k = z >> BLOCK_QUBITS;
+            totals[k] = (z & (block - 1)) ? totals[k] + t : t;
+        }
+    }
+}
+
+/* Both threads enter here, so that each runs the clone for its machine. */
+__attribute__((target_clones("avx2", "default")))
+static void work(const struct share *w)
+{
+    if (w->lo == 0)
+        first_sweep(w);
+    else
+        group(w);
+}
+
+static void *helper(void *w)
+{
+    work(w);
+    return NULL;
+}
+
+/* Runs units 0..count-1 of one sweep: mine takes the upper part, theirs, on
+ * a helper thread, the lower half rounded down to a multiple of unit. */
+static void share_out(struct share *mine, struct share *theirs, int threads, size_t count,
+                      size_t unit)
+{
+    size_t cut = threads > 1 ? count / 2 / unit * unit : 0;
+    pthread_t t;
+    theirs->from = 0;
+    theirs->to = mine->from = cut;
+    mine->to = count;
+    int helped = cut > 0 && pthread_create(&t, NULL, helper, theirs) == 0;
+    work(mine);
+    if (helped)
+        pthread_join(t, NULL);
+    else
+        work(theirs);
+}
+
+int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
+                 int first, double c, double s, double *totals, int threads)
+{
+    int low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
+    size_t size = (size_t)1 << n, slab = (size_t)1 << SLAB_QUBITS;
+    size_t planes = n > CHUNK_QUBITS ? slab << GROUP_QUBITS : (size_t)1 << low;
+    if (n < BLOCK_QUBITS)
+        totals = NULL;
+
+    /* Both threads' planes in one allocation: the helper never allocates. */
+    double *re = malloc(sizeof(double) * 2 * planes * (threads > 1 ? 2 : 1));
+    if (re == NULL)
+        return -1;
+    struct share mine = {.psi = psi, .totals = totals, .re = re, .im = re + planes,
+                         .phase = phase, .inv = inv, .c = c, .s = s, .n = n, .first = first};
+    struct share theirs = mine;
+    if (threads > 1) {
+        theirs.re = re + 2 * planes;
+        theirs.im = re + 3 * planes;
+    }
+    share_out(&mine, &theirs, threads, size >> low, 1);
     for (int lo = CHUNK_QUBITS; lo < n; lo += GROUP_QUBITS) {
         int g = n - lo < GROUP_QUBITS ? n - lo : GROUP_QUBITS;
-        int last = totals != NULL && lo + g == n;
-        size_t rows = (size_t)1 << g, stride = (size_t)1 << lo;
-        for (size_t outer = 0; outer < size; outer += rows * stride)
-            for (size_t col = outer; col < outer + stride; col += slab) {
-                for (size_t r = 0; r < rows; r++)
-                    split(re + r * slab, im + r * slab, psi + 2 * (col + r * stride), slab);
-                mix(re, im, rows * slab, SLAB_QUBITS, SLAB_QUBITS + g, c, s);
-                for (size_t r = 0; r < rows; r++) {
-                    size_t z = col + r * stride;
-                    join(psi + 2 * z, re + r * slab, im + r * slab, slab);
-                    if (!last)
-                        continue;
-                    /* A block is four slabs of one row, in column order. */
-                    double t = total(re + r * slab, im + r * slab, slab);
-                    size_t k = z >> BLOCK_QUBITS;
-                    totals[k] = (z & (block - 1)) ? totals[k] + t : t;
-                }
-            }
+        mine.lo = theirs.lo = lo;
+        /* Cut at a multiple of the four slabs of a block, so one thread sums it. */
+        share_out(&mine, &theirs, threads, size >> (g + SLAB_QUBITS),
+                  (size_t)1 << (BLOCK_QUBITS - SLAB_QUBITS));
     }
     free(re);
     return 0;

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,8 @@ class EbpInstance:
             name = obj["name"]
             if not isinstance(name, str):
                 raise ValueError(f"name must be a string, got {name!r}")
+            if any(unicodedata.category(ch) == "Cc" for ch in name):
+                raise ValueError(f"name must hold no control character, got {name!r}")
             return cls(name, _whole(obj["num_groups"], "num_groups"),
                        _whole(obj["cmax"], "cmax"), trains)
         except (KeyError, TypeError) as exc:

@@ -23,6 +23,7 @@ import csv
 import ctypes
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -43,8 +44,9 @@ from .extbp import (
     encode,
 )
 from .pbf import OPTIMUM_TOL
+from . import qaoa
 from .qaoa import (CostTable, QaoaConfig, RunRecord, build_cost_table, check_register,
-                   mixer_backend, run)
+                   mixer_backend, run, usable_cores)
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
 
@@ -118,7 +120,8 @@ _WORKER_CTX: dict = {}
 
 
 def _pool_init(table: CostTable, qcfg: QaoaConfig) -> None:
-    """Worker start-up: keep the cell's table and config, pin BLAS to one thread.
+    """Worker start-up: keep the cell's table and config, pin BLAS and the
+    layer kernel to one thread each.
 
     The arguments reach the worker through the pool's initargs, so this works
     under every multiprocessing start method.
@@ -126,6 +129,7 @@ def _pool_init(table: CostTable, qcfg: QaoaConfig) -> None:
     _WORKER_CTX["table"] = table
     _WORKER_CTX["config"] = qcfg
     _single_thread_blas()
+    qaoa._kernel_threads = 1
 
 
 def _single_thread_blas() -> None:
@@ -167,13 +171,18 @@ def _pool_run(seed: int) -> RunRecord:
     return run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
 
 
-def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads: int) -> list[RunRecord]:
+def _cell_processes(cfg: ExperimentConfig) -> int:
+    """Processes that run each cell: a cell of one run runs in this process."""
+    return 1 if cfg.runs == 1 else cfg.threads
+
+
+def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], processes: int) -> list[RunRecord]:
     """All runs of one cell, in run-index order regardless of scheduling
     (the pool's map yields results in input order)."""
-    if threads <= 1 or len(seeds) == 1:
+    if processes <= 1:
         return [run(table, qcfg, s) for s in seeds]
-    chunk = max(1, len(seeds) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init,
+    chunk = max(1, len(seeds) // (processes * 4))
+    with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init,
                              initargs=(table, qcfg)) as pool:
         return list(pool.map(_pool_run, seeds, chunksize=chunk))
 
@@ -181,15 +190,17 @@ def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], threads:
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:
     """Execute every (instance, formulation) cell; return CSV rows and summaries.
 
-    Every cell is encoded and its register checked before the first brute
-    force, and every instance is brute-forced before the first run.
+    Every cell is encoded and its register checked, for the processes that
+    will run it, before the first brute force, and every instance is
+    brute-forced before the first run.
     """
+    processes = _cell_processes(cfg)
     encoded = []
     for ref in cfg.instances:
         inst = load_instance(ref)
         encs = [encode(inst, formulation, cfg.lam_uni, cfg.lam_capa) for formulation in cfg.formulations]
         for enc in encs:
-            check_register(enc.qubit_count, cfg.threads)
+            check_register(enc.qubit_count, processes)
         encoded.append((inst, encs))
     cells = []
     for inst, encs in encoded:
@@ -201,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
         table = build_cost_table(enc.poly, enc.qubit_count)
         seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
         cell_start = time.perf_counter()
-        records = _execute_cell(table, cfg.qaoa, seeds, cfg.threads)
+        records = _execute_cell(table, cfg.qaoa, seeds, processes)
         cell_ms = (time.perf_counter() - cell_start) * 1000.0
         counts = {c: 0 for c in Classification}
         for i, rec in enumerate(records):
@@ -252,7 +263,25 @@ def write_rows_csv(rows: list[dict], path: Path) -> None:
         writer.writerows([row[c] for c in CSV_COLUMNS] for row in rows)
 
 
+# The three per-cell proportions, each given a 95% Wilson interval in the summary.
+PROPORTIONS = ("prop_optimal", "prop_feasible_non_optimal", "prop_infeasible")
+# The standard normal quantile of 0.975.
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(p: float, n: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of a proportion p observed over n runs,
+    clipped to [0, 1] against rounding."""
+    z = _Z95
+    scale = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / scale
+    half = z / scale * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path: Path) -> None:
+    """The run settings and each cell's summary, its proportions with 95%
+    Wilson intervals over cfg.runs."""
     payload = {
         "master_seed": cfg.master_seed,
         "runs": cfg.runs,
@@ -261,7 +290,9 @@ def write_summary_json(summaries: list[SummaryRow], cfg: ExperimentConfig, path:
         "max_evals": cfg.qaoa.max_evals,
         "mixer": mixer_backend(),
         "blas_core": blas_core(),
-        "cells": [asdict(s) for s in summaries],
+        "cells": [dict(asdict(s), wilson_95={prop: wilson_interval(getattr(s, prop), cfg.runs)
+                                             for prop in PROPORTIONS})
+                  for s in summaries],
     }
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -340,9 +371,7 @@ def worker_count(requested: int | None = None) -> int:
     else:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
+            return usable_cores()
         threads, source = int(env), THREADS_ENV_VAR
     if threads < 1:
         raise ValueError(f"{source} must be at least 1, got {threads}")

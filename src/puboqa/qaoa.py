@@ -14,7 +14,12 @@ phases and rotates the low qubits, a second sweep rotates the high qubits
 on copied slabs, each qubit as real butterflies on split planes of real
 and imaginary parts. While it writes out the last layer, the kernel also
 sums the probability of each block of amplitudes that the sampler's
-two-level search uses. The build is cached in the package's
+two-level search uses. From 2^16 amplitudes (_THREADED_QUBITS) a helper
+thread takes half of each sweep, where the process may use two cores; pool
+workers run the kernel on one thread, since their processes already fill
+the cores. Every chunk and slab is computed the same way on whichever
+thread takes it, so the bits do not depend on the thread count. The build
+is cached in the package's
 __pycache__ (or, where that is not writable, in a private temporary
 directory), named by the sha256 of the source, the flags and the gcc
 version. The flags never include -march=native or FMA: every rotation is
@@ -71,6 +76,13 @@ QUBIT_CAP = 26
 BYTES_PER_STATE = 73
 # The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
 _TABLE_BLOCK_QUBITS = 16
+
+
+def usable_cores() -> int:
+    """The cores this process may run on (its CPU affinity where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class CostTable:
@@ -261,6 +273,9 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     block of _SAMPLE_BLOCK amplitudes of the result, for sample(). The
     compiled kernel sums them while it writes out the last layer, the
     numpy path in one pass afterwards; the state is the same either way.
+
+    From _THREADED_QUBITS qubits the compiled kernel runs on
+    _kernel_threads threads, with the same bits as on one.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or len(params) % 2 != 0:
@@ -283,6 +298,7 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
                          f"{_SAMPLE_BLOCK} amplitudes")
     psi = workspace
     totals_ptr = None if totals is None else totals.ctypes.data
+    threads = _kernel_threads if n >= _THREADED_QUBITS else 1
     for layer in range(depth):
         beta = params[depth + layer]
         phase = np.exp(-1j * params[layer] * uniq)
@@ -292,7 +308,8 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
         if kernel is None:
             _layer_numpy(psi, n, phase, inv, layer == 0, c, s)
         elif kernel.puboqa_layer(psi.ctypes.data, n, phase.ctypes.data, inv.ctypes.data,
-                                 layer == 0, c, s, totals_ptr if layer == depth - 1 else None):
+                                 layer == 0, c, s, totals_ptr if layer == depth - 1 else None,
+                                 threads):
             raise MemoryError("the layer kernel could not allocate its buffer")
         if check_norm:
             _check_norm(psi)
@@ -359,9 +376,17 @@ def _block_matrix(c: float, s: float, k: int) -> np.ndarray:
 # How the layer kernel is built. No -march=native and no FMA: a fused
 # multiply-add rounds once where the source rounds twice, so the bits would
 # depend on the build machine.
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared", "-pthread")
 _KERNEL_CACHE = Path(__file__).resolve().parent / "__pycache__"
 _UNLOADED = object()
+# The layer kernel's threads from _THREADED_QUBITS qubits up: two where this
+# process may use two cores. harness._pool_init sets 1 in pool workers, whose
+# processes already fill the cores.
+_kernel_threads = min(2, usable_cores())
+# Below 2^16 amplitudes a second thread costs more than it saves: on 2 cores
+# a layer took 119-125 us on one thread and 156-177 us on two at 14 qubits,
+# against 518-596 and 352-477 us at 16 and 15.0-18.5 and 7.9-9.7 ms at 20.
+_THREADED_QUBITS = 16
 # The kernel's library once loaded, None where it cannot be built or loaded.
 # (The library, not its function: a ctypes function is unhashable, and tools
 # that wrap module attributes look callables up in dicts.)
@@ -431,7 +456,8 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.puboqa_layer.restype = ctypes.c_int
     lib.puboqa_layer.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_void_p)
+                                 ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                                 ctypes.c_int)
     return lib
 
 

@@ -170,6 +170,10 @@ class TestInstances:
             pytest.param("name", None, "name must be a string", id="name-null"),
             pytest.param("name", True, "name must be a string", id="name-bool"),
             pytest.param("name", ["A"], "name must be a string", id="name-list"),
+            pytest.param("name", "a\rb", "control character", id="name-cr"),
+            pytest.param("name", "a\tb", "control character", id="name-tab"),
+            pytest.param("name", "a\x00", "control character", id="name-nul"),
+            pytest.param("name", "a\x85b", "control character", id="name-c1"),
         ],
     )
     def test_from_obj_refuses_coercion(self, field, value, msg):

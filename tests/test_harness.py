@@ -11,11 +11,14 @@ import subprocess
 import sys
 import tempfile
 import time
+import unicodedata
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +185,17 @@ if __name__ == "__main__":
 """
 
 
+class SpyKernel:
+    """The layer kernel, recording the thread count of every call."""
+
+    def __init__(self, lib):
+        self.lib, self.threads = lib, []
+
+    def puboqa_layer(self, *args):
+        self.threads.append(args[-1])
+        return self.lib.puboqa_layer(*args)
+
+
 class TestPoolStartMethods:
     """Pool workers get their state through the initializer, not fork inheritance."""
 
@@ -204,6 +218,25 @@ class TestPoolStartMethods:
         serial, _ = run_experiment(ExperimentConfig(instances=("A",), formulations=("pubo",),
                                                     runs=4, threads=1))
         assert pooled == [{k: v for k, v in row.items() if k != "wall_ms"} for row in serial]
+
+    def test_workers_run_the_kernel_on_one_thread(self, monkeypatch):
+        if qaoa.mixer_backend() != "compiled":
+            pytest.skip("the layer kernel cannot be built here")
+        spy = SpyKernel(qaoa._layer_kernel())
+        monkeypatch.setattr(qaoa, "_kernel", spy)
+        monkeypatch.setattr(qaoa, "_kernel_threads", 2)
+        monkeypatch.setattr(harness, "_WORKER_CTX", {})
+        monkeypatch.setattr(harness, "_single_thread_blas", lambda: None)
+        n = qaoa._THREADED_QUBITS
+        table = qaoa.CostTable(n, np.arange(1 << n, dtype=float) % 5)
+        cfg = QaoaConfig(max_evals=4)
+        serial = harness.run(table, cfg, 0)
+        assert set(spy.threads) == {2}
+        spy.threads.clear()
+        harness._pool_init(table, cfg)
+        pooled = harness._pool_run(0)
+        assert set(spy.threads) == {1}
+        assert replace(pooled, wall_ms=0.0) == replace(serial, wall_ms=0.0)
 
 
 class TestFileOutputs:
@@ -233,6 +266,23 @@ class TestFileOutputs:
         assert all(len(cells) == len(CSV_COLUMNS) for cells in read)
         assert {cells[CSV_COLUMNS.index("instance")] for cells in read} == {name}
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_every_accepted_name_reads_back_as_one_field(self, name):
+        obj = {"name": name, "num_groups": 2, "cmax": 2,
+               "trains": [{"cost": 1.0, "benefit": 1.0, "groups": [0]}]}
+        if any(unicodedata.category(ch) == "Cc" for ch in name):
+            assert refused(obj)
+            return
+        row = {column: 0 for column in CSV_COLUMNS} | {"instance": EbpInstance.from_obj(obj).name}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_rows_csv([row], path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *read = csv.reader(fh)
+        assert header == CSV_COLUMNS
+        assert read == [[str(row[column]) for column in CSV_COLUMNS]]
+
     def test_csv_identical_modulo_wall_time(self, tmp_path):
         wall = CSV_COLUMNS.index("wall_ms")
         texts = []
@@ -256,6 +306,19 @@ class TestFileOutputs:
         assert len(payload["cells"]) == 2
         for cell in payload["cells"]:
             assert {"instance", "formulation", "qubit_count", "prop_optimal"} <= set(cell)
+            assert list(cell["wilson_95"]) == list(harness.PROPORTIONS)
+            for prop, (low, high) in cell["wilson_95"].items():
+                assert 0.0 <= low <= cell[prop] <= high <= 1.0
+                assert [low, high] == list(harness.wilson_interval(cell[prop], 4))
+
+    def test_wilson_interval_by_hand(self):
+        # B's pubo optimal share of 0.39 over 100 runs: with z = 1.96,
+        # (0.39 + z^2/200 -+ z sqrt(0.39 * 0.61 / 100 + z^2 / 40000)) / (1 + z^2/100).
+        low, high = harness.wilson_interval(0.39, 100)
+        assert low == pytest.approx(0.30017, abs=1e-5)
+        assert high == pytest.approx(0.48797, abs=1e-5)
+        assert harness.wilson_interval(0.0, 100) == pytest.approx((0.0, 0.03699), abs=1e-5)
+        assert harness.wilson_interval(1.0, 100) == pytest.approx((0.96301, 1.0), abs=1e-5)
 
 
 class TestVerify:
@@ -471,12 +534,42 @@ class TestCli:
     def test_experiment_memory_budget_counts_threads(self, monkeypatch, tmp_path, capsys):
         # Room for one process at A/pubo's 7 qubits, not for two.
         monkeypatch.setattr(qaoa, "_physical_memory", lambda: 3 * (BYTES_PER_STATE << 6))
-        argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--runs", "1",
+        argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--runs", "2",
                 "--shots", "5", "--max-evals", "5", "--out", str(tmp_path / "x")]
         assert main([*argv, "--threads", "2"]) == 2
         assert "7 qubits x 2 process(es)" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
         assert main([*argv, "--threads", "1"]) == 0
+
+    def test_one_run_cells_are_checked_for_one_process(self, monkeypatch, tmp_path):
+        # Room for one process at A/pubo's 7 qubits, not for two: a cell of
+        # one run runs in this process, whatever --threads says.
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: 3 * (BYTES_PER_STATE << 6))
+        checked = []
+        real_check = harness.check_register
+        monkeypatch.setattr(harness, "check_register",
+                            lambda q, processes=1: checked.append(processes) or real_check(q, processes))
+        argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--runs", "1",
+                "--shots", "5", "--max-evals", "5", "--threads", "2", "--out", str(tmp_path / "x")]
+        with mock.patch.object(harness, "ProcessPoolExecutor") as pool:
+            assert main(argv) == 0
+        assert checked == [1]
+        assert not pool.called
+        assert (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "solve", "experiment", "export"])
+    def test_control_character_in_name_exits_2(self, tmp_path, capsys, command):
+        obj = builtin_instance("A").to_obj() | {"name": "a\rb"}
+        path = tmp_path / "cr.json"
+        path.write_text(json.dumps(obj))
+        argv = {"verify": ["verify", "--instance", str(path)],
+                "solve": ["solve", "--instance", str(path), "--max-evals", "5"],
+                "experiment": ["experiment", "--instance", str(path), "--runs", "1", "--threads", "1",
+                               "--out", str(tmp_path / "x")],
+                "export": ["export", "--instance", str(path), "--formulation", "pubo"]}[command]
+        assert main(argv) == 2
+        assert "control character" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
 
     def test_experiment_refuses_before_any_run(self, tmp_path, capsys):
         # The pubo cell has 20 qubits; cmax 2^40 gives each train 41 capacity

@@ -554,6 +554,38 @@ class TestLayerKernel:
         assert np.array_equal(got, sample(psi, 200, _StubRng(draws)))
         assert calls == []
 
+    # 16-20 split the first sweep and the one group of the second between
+    # two threads, 21 both groups of the second. With the threshold patched
+    # away, 1-15 take the split too: at most 13 qubits the first sweep is one
+    # chunk, which the calling thread keeps.
+    @pytest.mark.parametrize("threshold,n", [(16, 16), (16, 17), (16, 20), (16, 21),
+                                             (0, 1), (0, 5), (0, 13), (0, 14), (0, 15)])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_thread_count_changes_no_bit(self, threshold, n, depth, compiled, monkeypatch):
+        monkeypatch.setattr(qaoa, "_THREADED_QUBITS", threshold)
+        table = random_table(n)
+        params = random_params(23 * n + depth, depth)
+        got = []
+        for threads in (1, 2):
+            monkeypatch.setattr(qaoa, "_kernel_threads", threads)
+            totals = np.full((1 << n) >> 10, np.nan) if n >= 10 else None
+            psi = evolve(params, table, totals=totals)
+            got.append((psi.tobytes(), None if totals is None else totals.tobytes()))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("name,seeds", [("C", range(2)), ("B", range(5))])
+    def test_thread_count_changes_no_record(self, name, seeds, compiled, monkeypatch):
+        enc = encode(builtin_instance(name), "qubo")
+        table = build_cost_table(enc.poly, enc.qubit_count)
+        assert table.num_qubits >= qaoa._THREADED_QUBITS
+        records = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(qaoa, "_kernel_threads", threads)
+            # repr, unlike ==, tells 0.0 from -0.0.
+            records[threads] = [repr(replace(run(table, QaoaConfig(), s), wall_ms=0.0))
+                                for s in seeds]
+        assert records[1] == records[2]
+
     def test_unvectorized_build_gives_the_same_bits(self, tmp_path, compiled, monkeypatch):
         # A fused multiply-add in either build would change some bits.
         flags = (*qaoa._KERNEL_FLAGS, "-fno-tree-vectorize")

@@ -16,20 +16,18 @@
  * de-interleaves slabs of 2^8 amplitudes from each of 2^7 rows into the
  * planes, applies up to 7 higher qubits there, and interleaves them back.
  *
- * With threads >= 2, one helper thread takes a contiguous range of each
- * sweep's work, on planes of its own, and the calling thread joins it
- * before the next sweep or group of qubits starts: the first sweep is split
- * by chunks, each group of the second by (outer, column) slab pairs at a
- * multiple of four slabs. Every chunk and slab is still computed by one
- * thread with the same arithmetic, so the bits do not depend on the thread
- * count. If the helper cannot be started, the calling thread does its share.
+ * With threads >= 2, a helper thread takes the lower half of each sweep's
+ * chunks, or of each group's (outer, column) slab pairs, on planes of its
+ * own, and the calling thread joins it before the next sweep or group
+ * starts. Every chunk and slab is computed by one thread with the same
+ * arithmetic, so the bits do not depend on the thread count. If the helper
+ * cannot be started, the calling thread does its share.
  *
- * If totals is not NULL and n >= 10, the write-out that finishes the layer
+ * If totals is not NULL and n >= 8, the write-out that finishes the layer
  * (the first sweep's for n <= 13, the last group's of the second sweep
- * above) also sets totals[k] to the sum of |psi[z]|^2 over the k-th block of
- * 2^10 amplitudes, on the thread that wrote the block. Its order of
- * additions is fixed, but not that of a sequential sum. Returns 0, or -1 if
- * the planes cannot be allocated.
+ * above) also sets totals[k] to the sum of |psi[z]|^2 over the k-th slab of
+ * 2^8 amplitudes. Its order of additions is fixed, but not that of a
+ * sequential sum. Returns 0, or -1 if the planes cannot be allocated.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -38,8 +36,7 @@
 #define CHUNK_QUBITS 13
 #define SLAB_QUBITS 8
 #define GROUP_QUBITS 7
-#define BLOCK_QUBITS 10
-/* Running sums of a block total, added together in lane order at the end. */
+/* Running sums of a slab total, added together in lane order at the end. */
 #define LANES 8
 #define INLINE static inline __attribute__((always_inline))
 
@@ -101,19 +98,12 @@ INLINE void pass1(double *re, double *im, size_t len, int q, double c, double s)
         pair(re + base, im + base, re + base + h, im + base + h, h, c, s);
 }
 
-/* Qubits lo..hi-1 of len amplitudes, two per pass. Passes at q = 0 and 2
- * take a constant q, so that their short inner loops unroll and vectorize. */
+/* Qubits lo..hi-1 of len amplitudes, two per pass. */
 INLINE void mix(double *re, double *im, size_t len, int lo, int hi, double c, double s)
 {
     int q = lo;
-    for (; q + 1 < hi; q += 2) {
-        if (q == 0)
-            pass2(re, im, len, 0, c, s);
-        else if (q == 2)
-            pass2(re, im, len, 2, c, s);
-        else
-            pass2(re, im, len, q, c, s);
-    }
+    for (; q + 1 < hi; q += 2)
+        pass2(re, im, len, q, c, s);
     if (q < hi)
         pass1(re, im, len, q, c, s);
 }
@@ -164,7 +154,7 @@ struct share {
 INLINE void first_sweep(const struct share *w)
 {
     int n = w->n, low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
-    size_t chunk = (size_t)1 << low, block = (size_t)1 << BLOCK_QUBITS;
+    size_t chunk = (size_t)1 << low, slab = (size_t)1 << SLAB_QUBITS;
     double *re = w->re, *im = w->im, *totals = w->totals, c = w->c, s = w->s;
     const double *phase = w->phase;
     for (size_t o = w->from * chunk; o < w->to * chunk; o += chunk) {
@@ -185,8 +175,8 @@ INLINE void first_sweep(const struct share *w)
         mix(re, im, chunk, 0, low, c, s);
         join(x, re, im, chunk);
         if (totals != NULL && n <= CHUNK_QUBITS)
-            for (size_t b = 0; b < chunk; b += block)
-                totals[(o + b) >> BLOCK_QUBITS] = total(re + b, im + b, block);
+            for (size_t b = 0; b < chunk; b += slab)
+                totals[(o + b) >> SLAB_QUBITS] = total(re + b, im + b, slab);
     }
 }
 
@@ -194,7 +184,7 @@ INLINE void group(const struct share *w)
 {
     int n = w->n, lo = w->lo, g = n - lo < GROUP_QUBITS ? n - lo : GROUP_QUBITS;
     int last = w->totals != NULL && lo + g == n;
-    size_t slab = (size_t)1 << SLAB_QUBITS, block = (size_t)1 << BLOCK_QUBITS;
+    size_t slab = (size_t)1 << SLAB_QUBITS;
     size_t rows = (size_t)1 << g, stride = (size_t)1 << lo, cols = stride / slab;
     double *re = w->re, *im = w->im, *psi = w->psi, *totals = w->totals;
     for (size_t p = w->from; p < w->to; p++) {
@@ -205,12 +195,8 @@ INLINE void group(const struct share *w)
         for (size_t r = 0; r < rows; r++) {
             size_t z = col + r * stride;
             join(psi + 2 * z, re + r * slab, im + r * slab, slab);
-            if (!last)
-                continue;
-            /* A block is four slabs of one row, in column order. */
-            double t = total(re + r * slab, im + r * slab, slab);
-            size_t k = z >> BLOCK_QUBITS;
-            totals[k] = (z & (block - 1)) ? totals[k] + t : t;
+            if (last)
+                totals[z >> SLAB_QUBITS] = total(re + r * slab, im + r * slab, slab);
         }
     }
 }
@@ -232,11 +218,10 @@ static void *helper(void *w)
 }
 
 /* Runs units 0..count-1 of one sweep: mine takes the upper part, theirs, on
- * a helper thread, the lower half rounded down to a multiple of unit. */
-static void share_out(struct share *mine, struct share *theirs, int threads, size_t count,
-                      size_t unit)
+ * a helper thread, the lower half rounded down. */
+static void share_out(struct share *mine, struct share *theirs, int threads, size_t count)
 {
-    size_t cut = threads > 1 ? count / 2 / unit * unit : 0;
+    size_t cut = threads > 1 ? count / 2 : 0;
     pthread_t t;
     theirs->from = 0;
     theirs->to = mine->from = cut;
@@ -255,7 +240,7 @@ int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
     int low = n < CHUNK_QUBITS ? n : CHUNK_QUBITS;
     size_t size = (size_t)1 << n, slab = (size_t)1 << SLAB_QUBITS;
     size_t planes = n > CHUNK_QUBITS ? slab << GROUP_QUBITS : (size_t)1 << low;
-    if (n < BLOCK_QUBITS)
+    if (n < SLAB_QUBITS)
         totals = NULL;
 
     /* Both threads' planes in one allocation: the helper never allocates. */
@@ -269,13 +254,11 @@ int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
         theirs.re = re + 2 * planes;
         theirs.im = re + 3 * planes;
     }
-    share_out(&mine, &theirs, threads, size >> low, 1);
+    share_out(&mine, &theirs, threads, size >> low);
     for (int lo = CHUNK_QUBITS; lo < n; lo += GROUP_QUBITS) {
         int g = n - lo < GROUP_QUBITS ? n - lo : GROUP_QUBITS;
         mine.lo = theirs.lo = lo;
-        /* Cut at a multiple of the four slabs of a block, so one thread sums it. */
-        share_out(&mine, &theirs, threads, size >> (g + SLAB_QUBITS),
-                  (size_t)1 << (BLOCK_QUBITS - SLAB_QUBITS));
+        share_out(&mine, &theirs, threads, size >> (g + SLAB_QUBITS));
     }
     free(re);
     return 0;

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("runs must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         bad = set(self.formulations) - {"pubo", "qubo"}
         if bad or not self.formulations:
             raise ValueError(f"formulations must be a nonempty subset of pubo/qubo, got {self.formulations}")
@@ -191,8 +193,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
     """Execute every (instance, formulation) cell; return CSV rows and summaries.
 
     Every cell is encoded and its register checked, for the processes that
-    will run it, before the first brute force, and every instance is
-    brute-forced before the first run.
+    will run it and the shots of one evaluation, before the first brute
+    force, and every instance is brute-forced before the first run.
     """
     processes = _cell_processes(cfg)
     encoded = []
@@ -200,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
         inst = load_instance(ref)
         encs = [encode(inst, formulation, cfg.lam_uni, cfg.lam_capa) for formulation in cfg.formulations]
         for enc in encs:
-            check_register(enc.qubit_count, processes)
+            check_register(enc.qubit_count, processes, cfg.qaoa.n_shots)
         encoded.append((inst, encs))
     cells = []
     for inst, encs in encoded:

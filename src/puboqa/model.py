@@ -31,9 +31,6 @@ class Constraint:
     def __post_init__(self):
         _require_integer_coeffs(self.lhs)
 
-    def is_satisfied(self, assignment) -> bool:
-        return self.lhs.evaluate(assignment) <= INT_EPS
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -98,15 +95,6 @@ class BinCodec:
 
     spans: tuple[tuple[tuple[VarId, int], ...], ...]
 
-    @property
-    def num_bits(self) -> int:
-        return sum(len(bits) for bits in self.spans)
-
-    def bit_ids(self, var: VarId) -> tuple[VarId, ...]:
-        if not 0 <= var < len(self.spans):
-            raise ValueError(f"variable {var} not in codec")
-        return tuple(b for b, _ in self.spans[var])
-
     def decode(self, bit_assignment) -> dict[VarId, int]:
         """Map a bit assignment back to integer variable values."""
         out: dict[VarId, int] = {}
@@ -115,28 +103,6 @@ class BinCodec:
             for bit_id, weight in bits:
                 total += weight * int(_lookup(bit_assignment, bit_id))
             out[vid] = total
-        return out
-
-    def encode(self, values: dict[VarId, int]) -> dict[VarId, int]:
-        """Map integer variable values to a bit assignment.
-
-        Values must be representable, which holds for any value within the
-        original bounds.
-        """
-        out: dict[VarId, int] = {}
-        for vid, bits in enumerate(self.spans):
-            val = values[vid]
-            if val < 0:
-                raise ValueError(f"variable {vid} has negative value {val}")
-            rem = val
-            for bit_id, weight in reversed(bits):
-                if rem >= weight:
-                    out[bit_id] = 1
-                    rem -= weight
-                else:
-                    out[bit_id] = 0
-            if rem != 0:
-                raise ValueError(f"value {val} not representable for variable {vid}")
         return out
 
 

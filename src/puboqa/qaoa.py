@@ -13,13 +13,13 @@ one statevector: one sweep over cache-sized chunks writes or multiplies the
 phases and rotates the low qubits, a second sweep rotates the high qubits
 on copied slabs, each qubit as real butterflies on split planes of real
 and imaginary parts. While it writes out the last layer, the kernel also
-sums the probability of each block of amplitudes that the sampler's
-two-level search uses. From 2^16 amplitudes (_THREADED_QUBITS) a helper
-thread takes half of each sweep, where the process may use two cores; pool
-workers run the kernel on one thread, since their processes already fill
-the cores. Every chunk and slab is computed the same way on whichever
-thread takes it, so the bits do not depend on the thread count. The build
-is cached in the package's
+sums the probability of each slab of 2^8 amplitudes, the blocks of the
+sampler's two-level search. From 2^16 amplitudes (_THREADED_QUBITS) a
+helper thread takes half of each sweep, where the process may use two
+cores; pool workers run the kernel on one thread, since their processes
+already fill the cores. Every chunk and slab is computed the same way on
+whichever thread takes it, so the bits do not depend on the thread count.
+The build is cached in the package's
 __pycache__ (or, where that is not writable, in a private temporary
 directory), named by the sha256 of the source, the flags and the gcc
 version. The flags never include -march=native or FMA: every rotation is
@@ -74,6 +74,12 @@ QUBIT_CAP = 26
 # build_cost_table plus run() at 17-20 qubits, on either mixer backend, reads
 # at most 72.2 bytes per state (34.0 with few distinct values); rounded up.
 BYTES_PER_STATE = 73
+# Peak bytes per shot of one evaluation: the draws, the drawn blocks and
+# indices, the drawn values and numpy's temporaries beside them (np.unique's
+# sorted copy, masks). A tracemalloc peak over run() at 8-20 qubits with
+# 2 * 10^5 shots reads at most 41.6 bytes per shot above that of one shot;
+# rounded up.
+BYTES_PER_SHOT = 42
 # The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
 _TABLE_BLOCK_QUBITS = 16
 
@@ -152,21 +158,23 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     return CostTable(num_qubits, values)
 
 
-def check_register(num_qubits: int, processes: int = 1) -> None:
+def check_register(num_qubits: int, processes: int = 1, shots: int = 0) -> None:
     """Refuse a register above QUBIT_CAP qubits or too large for memory.
 
     Each of `processes` processes is estimated at BYTES_PER_STATE bytes per
-    basis state; a total above the machine's physical memory raises
+    basis state, plus BYTES_PER_SHOT bytes per shot of an evaluation that
+    draws `shots`; a total above the machine's physical memory raises
     ValueError. Where physical memory cannot be read, only the cap is checked.
     """
     if num_qubits > QUBIT_CAP:
         raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
-    need = processes * (BYTES_PER_STATE << num_qubits)
+    need = processes * ((BYTES_PER_STATE << num_qubits) + BYTES_PER_SHOT * shots)
     have = _physical_memory()
     if have is not None and need > have:
+        per_shot = f", {BYTES_PER_SHOT} per shot of {shots} shots" if shots else ""
         raise ValueError(
             f"{num_qubits} qubits x {processes} process(es) need an estimated "
-            f"{need / 2**30:.2f} GiB ({BYTES_PER_STATE} bytes per basis state each), "
+            f"{need / 2**30:.2f} GiB ({BYTES_PER_STATE} bytes per basis state{per_shot} each), "
             f"more than the {have / 2**30:.2f} GiB of physical memory"
         )
 
@@ -268,11 +276,12 @@ def evolve(params, table: CostTable, check_norm: bool = False, *, workspace=None
     that result. The arithmetic does not depend on the workspace, so with
     and without one the states are bit-identical.
 
-    totals, from 10 qubits up, is a C-contiguous float64 array of shape
-    (2^n / _SAMPLE_BLOCK,) that receives the probability total of each
-    block of _SAMPLE_BLOCK amplitudes of the result, for sample(). The
-    compiled kernel sums them while it writes out the last layer, the
-    numpy path in one pass afterwards; the state is the same either way.
+    totals, from _SAMPLE_BLOCK amplitudes up, is a C-contiguous float64
+    array of shape (2^n / _SAMPLE_BLOCK,) that receives the probability
+    total of each block of _SAMPLE_BLOCK amplitudes of the result, for
+    sample(). The compiled kernel sums them while it writes out the last
+    layer, the numpy path in one pass afterwards; the state is the same
+    either way.
 
     From _THREADED_QUBITS qubits the compiled kernel runs on
     _kernel_threads threads, with the same bits as on one.
@@ -467,9 +476,10 @@ def _check_norm(psi: np.ndarray) -> None:
         raise RuntimeError(f"statevector norm drifted: |psi|^2 = {norm_sq!r}")
 
 
-# The two-level sampler works on blocks of 2^10 amplitudes, from 4 blocks up.
-_SAMPLE_BLOCK = 1 << 10
-_SAMPLE_MIN_BLOCKS = 4
+# The two-level sampler works on blocks of 2^8 amplitudes, the layer kernel's
+# slabs, from 16 blocks (2^12 amplitudes) up.
+_SAMPLE_BLOCK = 1 << 8
+_SAMPLE_MIN_BLOCKS = 16
 # The sequential sampler's running sum is formed 2^12 amplitudes at a time.
 _SEQUENTIAL_CHUNK = 1 << 12
 
@@ -492,11 +502,12 @@ def sample(state: np.ndarray, n_shots: int, rng: np.random.Generator, *,
     total before the block. Both the sequential running sum and this
     two-level one lie within gamma_(N+2) * total of the exact prefix sums
     (gamma_k = k u / (1 - k u), u = 2^-53). That holds in whatever order
-    a block total adds its terms, numpy's order or the kernel's lanes and
-    slabs: a total of B = _SAMPLE_BLOCK amplitudes adds 2B squares, so at
-    most 2B roundings lie behind each of its terms; the running sum over
-    the N / B block totals and the offset add at most N / B more, so from
-    4 blocks on fewer than N + 2 lie behind any two-level value (at most
+    a block total adds its terms, numpy's order or the kernel's lanes: a
+    total of B = _SAMPLE_BLOCK amplitudes adds 2B squares, so at most 2B
+    roundings lie behind each of its terms; the running sum over the N / B
+    block totals and the offset add at most N / B more. As N >= 4B (it
+    holds from 4 blocks, and the search starts at _SAMPLE_MIN_BLOCKS), at
+    most N / 2 + N / 4 < N + 2 lie behind any two-level value (at most
     B + 1 behind a term of the drawn block). A draw farther than
     4 (N + 2) u max(1, total) from both neighbouring two-level values
     therefore gets the same index from the sequential sampler. If any draw
@@ -603,7 +614,7 @@ def optimize(loss_fn, theta0, config: QaoaConfig):
 
 
 def run(table: CostTable, config: QaoaConfig = QaoaConfig(), seed: int | None = None) -> RunRecord:
-    """One full QAOA run against a cost table; the seed is required.
+    """One full QAOA run against a cost table; a non-negative seed is required.
 
     The run's generator seeds everything: first all gammas uniform on
     [0, 2pi), then all betas uniform on [0, pi), then the shot draws of each
@@ -613,9 +624,11 @@ def run(table: CostTable, config: QaoaConfig = QaoaConfig(), seed: int | None = 
     large enough for the sampler's two-level search, evolve also writes the
     block totals that sample then reads.
     """
-    check_register(table.num_qubits)
     if seed is None:
         raise ValueError("a seed is required")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_register(table.num_qubits, shots=config.n_shots)
 
     started = time.perf_counter()
     rng = np.random.default_rng(seed)

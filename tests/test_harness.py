@@ -157,6 +157,8 @@ class TestRunExperiment:
             ExperimentConfig(threads=0)
         with pytest.raises(ValueError, match="formulations"):
             ExperimentConfig(formulations=("ising",))
+        with pytest.raises(ValueError, match="master_seed must be non-negative, got -1"):
+            ExperimentConfig(master_seed=-1)
 
 
 # Workers import this script as their main module under every start method,
@@ -548,7 +550,8 @@ class TestCli:
         checked = []
         real_check = harness.check_register
         monkeypatch.setattr(harness, "check_register",
-                            lambda q, processes=1: checked.append(processes) or real_check(q, processes))
+                            lambda q, processes=1, shots=0: checked.append(processes)
+                            or real_check(q, processes, shots))
         argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--runs", "1",
                 "--shots", "5", "--max-evals", "5", "--threads", "2", "--out", str(tmp_path / "x")]
         with mock.patch.object(harness, "ProcessPoolExecutor") as pool:
@@ -609,6 +612,32 @@ class TestCli:
             for argv in commands:
                 assert main(argv) == 2, argv
                 assert "30 qubits exceeds the 26-qubit cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_oversize_shot_count_refused_before_brute_force(self, monkeypatch, tmp_path, capsys,
+                                                            command):
+        # 1 GiB holds A's registers, but not 10^8 shots of BYTES_PER_SHOT
+        # bytes each. Nothing may evolve or draw: the arrays would be real.
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: 1 << 30)
+        argv = {"solve": ["solve", "--instance", "A", "--max-evals", "2"],
+                "experiment": ["experiment", "--instance", "A", "--runs", "2", "--threads", "1",
+                               "--out", str(tmp_path / "x")]}[command]
+        with mock.patch.object(harness, "brute_force", side_effect=AssertionError("brute force ran")), \
+                mock.patch.object(qaoa, "evolve", side_effect=AssertionError("evolve ran")):
+            assert main([*argv, "--shots", "100000000"]) == 2
+        assert "per shot of 100000000 shots" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_negative_seed_refused_before_brute_force(self, tmp_path, capsys, command):
+        argv = {"solve": ["solve", "--instance", "A", "--max-evals", "2"],
+                "experiment": ["experiment", "--instance", "A", "--runs", "2", "--threads", "1",
+                               "--out", str(tmp_path / "x")]}[command]
+        with mock.patch.object(harness, "brute_force", side_effect=AssertionError("brute force ran")), \
+                mock.patch.object(qaoa, "evolve", side_effect=AssertionError("evolve ran")):
+            assert main([*argv, "--seed", "-1"]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_export_stdout_is_valid_json(self, capsys):
         code = main(["export", "--instance", "A", "--formulation", "qubo"])

@@ -33,7 +33,7 @@ class TestCanonicalize:
         # satisfied exactly on assignments where the sum equals 1
         for bits in product((0, 1), repeat=2):
             want = sum(bits) == 1
-            assert all(c.is_satisfied(bits) for c in cs) == want
+            assert all(c.lhs.evaluate(bits) <= 0 for c in cs) == want
 
     @pytest.mark.parametrize("rel", ["<=", ">=", "=="])
     def test_relation_spellings(self, rel):
@@ -66,7 +66,7 @@ class TestUnitSumTag:
         poly = penalty_for(c)
         assert poly == product_penalty(c)
         for bits in product((0, 1), repeat=2):
-            assert (poly.evaluate(bits) == 0) == c.is_satisfied(bits)
+            assert (poly.evaluate(bits) == 0) == (c.lhs.evaluate(bits) <= 0)
 
 
 class TestProblem:
@@ -87,9 +87,9 @@ class TestProblem:
 class TestBinarize:
     def test_bit_widths(self):
         prob = Problem((1, 2, 3, 4), Polynomial.zero())
-        _, codec = binarize(prob)
+        binary, codec = binarize(prob)
         assert [len(bits) for bits in codec.spans] == [1, 2, 2, 3]
-        assert codec.num_bits == 8
+        assert binary.num_variables == 8
 
     def test_weights_lsb_first(self):
         prob = Problem((5,), Polynomial.variable(0))
@@ -111,7 +111,8 @@ class TestBinarize:
         binary, codec = binarize(prob)
         for v0 in range(uppers[0] + 1):
             for v1 in range(uppers[1] + 1):
-                bits = codec.encode({0: v0, 1: v1})
+                bits = {bit: (v >> j) & 1 for v, span in zip((v0, v1), codec.spans)
+                        for j, (bit, _) in enumerate(span)}
                 assert binary.objective.evaluate(bits) == pytest.approx(
                     obj.evaluate([v0, v1])
                 )
@@ -141,20 +142,10 @@ class TestBinarize:
         assert penalty_for(uni) == le_penalty([0, 1], 1)
         assert penalty_for(cap) == product_penalty(cap)
 
-    def test_encode_rejects_unrepresentable(self):
-        prob = Problem((2,), Polynomial.variable(0))
-        _, codec = binarize(prob)
-        with pytest.raises(ValueError):
-            codec.encode({0: 7})
-        with pytest.raises(ValueError):
-            codec.encode({0: -1})
-
     def test_codec_missing_variable(self):
         codec = BinCodec((((0, 1),),))
         with pytest.raises(ValueError, match="missing"):
             codec.decode({})
-        with pytest.raises(ValueError, match="not in codec"):
-            codec.bit_ids(5)
 
 
 class TestConstraint:

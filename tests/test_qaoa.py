@@ -23,6 +23,7 @@ from puboqa import qaoa
 from puboqa.extbp import builtin_instance, encode
 from puboqa.pbf import COEFF_EPS, Polynomial
 from puboqa.qaoa import (
+    BYTES_PER_SHOT,
     BYTES_PER_STATE,
     QUBIT_CAP,
     CostTable,
@@ -168,6 +169,15 @@ class TestMemoryBudget:
         with pytest.raises(ValueError, match="x 3 process"):
             check_register(9, processes=3)
 
+    def test_shots_count_toward_the_budget(self, ten_qubits_of_memory):
+        # 9 qubits take half the memory; the shots of one evaluation may take the rest.
+        room = (BYTES_PER_STATE << 9) // BYTES_PER_SHOT
+        check_register(9, shots=room)
+        with pytest.raises(ValueError, match=rf"9 qubits x 1 process.* {room + 1} shots"):
+            check_register(9, shots=room + 1)
+        with pytest.raises(ValueError, match="x 2 process"):
+            check_register(9, processes=2, shots=1)
+
     def test_unknown_memory_is_not_checked(self, monkeypatch):
         monkeypatch.setattr(qaoa, "_physical_memory", lambda: None)
         check_register(QUBIT_CAP, processes=1000)
@@ -231,6 +241,11 @@ def random_table(n):
 def random_params(seed, depth):
     rng = np.random.default_rng(seed)
     return np.concatenate([rng.uniform(0, 2 * np.pi, depth), rng.uniform(0, np.pi, depth)])
+
+
+def blocks(n):
+    """The sampler's blocks in a register of n qubits."""
+    return (1 << n) // qaoa._SAMPLE_BLOCK
 
 
 def traced_peak(call):
@@ -335,25 +350,28 @@ class TestEvolve:
     def test_totals_leave_the_state_alone(self, n, depth):
         table = self.table(n)
         params = random_params(5 * n + depth, depth)
-        totals = np.full((1 << n) >> 10, np.nan)
+        totals = np.full(blocks(n), np.nan)
         got = evolve(params, table, totals=totals)
         assert got.tobytes() == evolve(params, table).tobytes()
         tol = 4.0 * ((1 << n) + 2) * 2.0 ** -53
         assert np.abs(totals - qaoa._block_totals(got)).max() <= tol
 
     @pytest.mark.parametrize(
-        "totals",
-        [np.empty(17), np.empty(15), np.empty(16, dtype=np.float32), np.empty(32)[::2],
-         np.empty((1, 16)), [0.0] * 16],
+        "make",
+        [lambda k: np.empty(k + 1), lambda k: np.empty(k - 1),
+         lambda k: np.empty(k, dtype=np.float32), lambda k: np.empty(2 * k)[::2],
+         lambda k: np.empty((1, k)), lambda k: [0.0] * k],
         ids=["long", "short", "float32", "strided", "two-dim", "list"],
     )
-    def test_bad_totals_rejected(self, totals):
+    def test_bad_totals_rejected(self, make):
         with pytest.raises(ValueError, match="totals"):
-            evolve([0.3, 0.4], self.table(14), totals=totals)
+            evolve([0.3, 0.4], self.table(14), totals=make(blocks(14)))
 
     def test_no_totals_below_one_block(self):
+        n = qaoa._SAMPLE_BLOCK.bit_length() - 2
+        assert blocks(n) == 0
         with pytest.raises(ValueError, match="totals"):
-            evolve([0.3, 0.4], self.table(9), totals=np.empty(0))
+            evolve([0.3, 0.4], self.table(n), totals=np.empty(0))
 
     def test_one_fresh_row(self):
         # In place, a fresh evolve needs one statevector, not two.
@@ -513,14 +531,14 @@ class TestLayerKernel:
         got = evolve(params, table)
         assert got.tobytes() == butterfly_evolve(params, table).tobytes()
 
-    # 12-13 write totals in the first sweep; 14-20 in the one group of the
+    # 8-13 write totals in the first sweep; 14-20 in the one group of the
     # second sweep; 21 in the second of its two groups.
-    @pytest.mark.parametrize("n", range(12, 22))
+    @pytest.mark.parametrize("n", range(8, 22))
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_totals_match_the_numpy_block_sums(self, n, depth, compiled):
         table = random_table(n)
         params = random_params(19 * n + depth, depth)
-        totals = np.full((1 << n) >> 10, np.nan)
+        totals = np.full(blocks(n), np.nan)
         psi = evolve(params, table, totals=totals)
         want = qaoa._block_totals(psi)
         tol = 4.0 * ((1 << n) + 2) * 2.0 ** -53  # sample's, for a total near 1
@@ -530,14 +548,15 @@ class TestLayerKernel:
     @pytest.mark.parametrize("n", [12, 14, 20])
     def test_totals_draw_the_sequential_indices(self, n, compiled, monkeypatch):
         table = random_table(n)
-        totals = np.empty((1 << n) >> 10)
+        totals = np.empty(blocks(n))
         psi = evolve(random_params(n, 2), table, totals=totals)
         probs = psi.real ** 2 + psi.imag ** 2
-        blocks = (1 << n) >> 10
-        picked = sorted({0, 1, 2, blocks // 2, blocks - 2, blocks - 1})
+        last = blocks(n) - 1
+        picked = sorted({0, 1, 2, last // 2, last - 1, last})
         # Every block end as the sequential running sum, the kernel's totals
         # and numpy's block sums see it, and one ulp either side of each.
-        ends = np.concatenate([np.cumsum(probs)[1023::1024][picked], np.cumsum(totals)[picked],
+        b = qaoa._SAMPLE_BLOCK
+        ends = np.concatenate([np.cumsum(probs)[b - 1::b][picked], np.cumsum(totals)[picked],
                                np.cumsum(qaoa._block_totals(psi))[picked]])
         near = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 2.0)])
         calls = TestSample.spy_on_fallback(monkeypatch)
@@ -568,7 +587,7 @@ class TestLayerKernel:
         got = []
         for threads in (1, 2):
             monkeypatch.setattr(qaoa, "_kernel_threads", threads)
-            totals = np.full((1 << n) >> 10, np.nan) if n >= 10 else None
+            totals = np.full(blocks(n), np.nan) if blocks(n) else None
             psi = evolve(params, table, totals=totals)
             got.append((psi.tobytes(), None if totals is None else totals.tobytes()))
         assert got[0] == got[1]
@@ -607,6 +626,16 @@ class TestLayerKernel:
         assert "puboqa_layer" in listing
         fused = re.findall(r"\bvfn?m(?:add|sub)\w*", listing)
         assert fused == []
+
+    def test_build_is_warning_free(self, tmp_path):
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("needs gcc")
+        source = resources.files("puboqa").joinpath("_mixer.c")
+        done = subprocess.run([gcc, *qaoa._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
+                               str(source), "-o", str(tmp_path / "mixer.so")],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_without_a_compiler_numpy_takes_over(self, tmp_path):
         code = ("import numpy as np\n"
@@ -675,8 +704,9 @@ def sequential_sample(state, n_shots, rng):
 
 @st.composite
 def sampled_states(draw):
-    """States of 2^10..2^16 amplitudes (1..64 blocks of 2^10): dense, a few
-    nonzeros, or zero over the leading blocks; norm 1 or off by 1e-12."""
+    """States of 2^10..2^16 amplitudes, below and above the two-level search's
+    _SAMPLE_MIN_BLOCKS blocks: dense, a few nonzeros, or zero over the
+    leading blocks; norm 1 or off by 1e-12."""
     n = draw(st.integers(10, 16))
     kind = draw(st.sampled_from(["dense", "sparse", "leading-zeros"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -688,8 +718,7 @@ def sampled_states(draw):
         mask[keep] = True
         state[~mask] = 0
     elif kind == "leading-zeros":
-        blocks = size >> 10
-        state[: draw(st.integers(0, blocks - 1)) << 10] = 0
+        state[: draw(st.integers(0, blocks(n) - 1)) * qaoa._SAMPLE_BLOCK] = 0
         state[-1] = 1.0
     state /= np.linalg.norm(state)
     state *= np.sqrt(1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-12])))
@@ -753,13 +782,14 @@ class TestSample:
 
     @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-12, 1.0 + 1e-12])
     def test_draws_on_cdf_values_fall_back(self, monkeypatch, scale):
-        # 2^15 amplitudes: 32 blocks of the two-level search, eight chunks
-        # of the sequential fallback.
+        # 2^15 amplitudes: blocks(15) blocks of the two-level search, eight
+        # chunks of the sequential fallback.
         rng = np.random.default_rng(21)
         state = rng.normal(size=1 << 15) + 1j * rng.normal(size=1 << 15)
         state *= np.sqrt(scale) / np.linalg.norm(state)
         cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
-        edges = [cdf[1023], cdf[2047], cdf[4095], cdf[16384], cdf[-1], cdf[500]]
+        b = qaoa._SAMPLE_BLOCK
+        edges = [cdf[b - 1], cdf[2 * b - 1], cdf[4 * b - 1], cdf[16384], cdf[-1], cdf[500]]
         near = [np.nextafter(e, side) for e in edges for side in (0.0, 2.0)]
         draws = [*edges, *near, 0.0, 1.0, 1.5]
         calls = self.spy_on_fallback(monkeypatch)
@@ -798,25 +828,28 @@ class TestSample:
         state = rng.normal(size=8192) + 1j * rng.normal(size=8192)
         state /= np.linalg.norm(state)
         cdf = np.cumsum(state.real ** 2 + state.imag ** 2)
-        picks = np.array([3, 1024, 2047, 5000, 8191])
+        b = qaoa._SAMPLE_BLOCK
+        picks = np.array([3, 4 * b, 8 * b - 1, 5000, 8191])
         draws = (np.concatenate(([0.0], cdf))[picks] + cdf[picks]) / 2
         calls = self.spy_on_fallback(monkeypatch)
         assert sample(state, len(draws), _StubRng(draws)).tolist() == picks.tolist()
         assert calls == []
 
     def test_totals_of_the_wrong_shape_rejected(self):
-        state = np.full(1 << 12, 2.0 ** -6, dtype=np.complex128)
+        size = qaoa._SAMPLE_MIN_BLOCKS * qaoa._SAMPLE_BLOCK
+        state = np.full(size, size ** -0.5, dtype=np.complex128)
         with pytest.raises(ValueError, match="block totals"):
             sample(state, 3, np.random.default_rng(0), totals=np.full(3, 0.25))
 
     def test_small_and_non_contiguous_states(self, monkeypatch):
         calls = self.spy_on_fallback(monkeypatch)
-        small = np.full(2048, 2.0 ** -5.5, dtype=np.complex128)
+        size = qaoa._SAMPLE_MIN_BLOCKS * qaoa._SAMPLE_BLOCK
+        small = np.full(size // 2, (size // 2) ** -0.5, dtype=np.complex128)
         assert np.array_equal(sample(small, 30, np.random.default_rng(1)),
                               sequential_sample(small, 30, np.random.default_rng(1)))
         assert calls == [30]
-        wide = np.zeros(2 * 8192, dtype=np.complex128)
-        wide[::2] = 2.0 ** -6.5
+        wide = np.zeros(4 * size, dtype=np.complex128)
+        wide[::2] = (2 * size) ** -0.5
         got = sample(wide[::2], 30, np.random.default_rng(2))
         assert np.array_equal(got, sequential_sample(wide[::2], 30, np.random.default_rng(2)))
         assert calls == [30]
@@ -913,9 +946,10 @@ class TestRun:
     @pytest.mark.parametrize("n", [11, 12, 14])
     @pytest.mark.parametrize("backend", ["default", "numpy"])
     def test_totals_change_no_record(self, n, backend, monkeypatch):
-        # Below 12 qubits the sampler is sequential and no totals are kept;
-        # from 12 up evolve writes them and sample reads them, on either
-        # path. Either way the record is that of sample's own block sums.
+        # Below 12 qubits (_SAMPLE_MIN_BLOCKS blocks) the sampler is
+        # sequential and no totals are kept; from 12 up evolve writes them
+        # and sample reads them, on either path. Either way the record is
+        # that of sample's own block sums.
         if backend == "numpy":
             monkeypatch.setattr(qaoa, "_kernel", None)
         layers = []
@@ -938,7 +972,7 @@ class TestRun:
         config = QaoaConfig(max_evals=8)
         got = run(table, config, seed=3)
         assert len(seen) == got.n_iterations
-        assert all((t is None) == (n < 12) for t in seen)
+        assert all((t is None) == (blocks(n) < qaoa._SAMPLE_MIN_BLOCKS) for t in seen)
         assert (len(layers) > 0) == (backend == "numpy" or qaoa.mixer_backend() == "numpy")
         monkeypatch.setattr(qaoa, "sample", lambda state, n_shots, rng, totals=None:
                             real_sample(state, n_shots, rng))
@@ -947,6 +981,8 @@ class TestRun:
     def test_seed_required(self):
         with pytest.raises(ValueError, match="seed"):
             run(self.table(), self.CFG)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run(self.table(), self.CFG, seed=-1)
 
 
 class TestQaoaConfig:

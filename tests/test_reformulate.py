@@ -178,7 +178,7 @@ class TestProductPenalty:
             poly = product_penalty(con)
             for bits in all_assignments(len(coeffs)):
                 v = poly.evaluate(bits)
-                if con.is_satisfied(bits):
+                if con.lhs.evaluate(bits) <= 0:
                     assert v == pytest.approx(0.0, abs=1e-6)
                 else:
                     assert v >= 1.0 - 1e-6
@@ -470,7 +470,7 @@ class TestGatedSoundness:
                 (con,) = canonicalize("<=", lhs, b)
                 poly = penalty_for(con)
                 for bits in all_assignments(size + 1):
-                    want = 0.0 if con.is_satisfied(bits) else 1.0
+                    want = 0.0 if con.lhs.evaluate(bits) <= 0 else 1.0
                     assert poly.evaluate(bits) == want, (size, c, b, bits)
 
 
@@ -707,7 +707,7 @@ class TestEndToEndEquivalence:
             feasible = [
                 bits
                 for bits in all_assignments(n)
-                if all(c.is_satisfied(bits) for c in prob.constraints)
+                if all(c.lhs.evaluate(bits) <= 0 for c in prob.constraints)
             ]
             if not feasible:
                 continue
@@ -764,7 +764,7 @@ class TestEndToEndEquivalence:
             n = prob.num_variables
             feasible = [
                 bits for bits in all_assignments(n)
-                if all(c.is_satisfied(bits) for c in prob.constraints)
+                if all(c.lhs.evaluate(bits) <= 0 for c in prob.constraints)
             ]
             if not feasible:
                 continue

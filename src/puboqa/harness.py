@@ -45,8 +45,9 @@ from .extbp import (
 )
 from .pbf import OPTIMUM_TOL
 from . import qaoa
-from .qaoa import (CostTable, QaoaConfig, RunRecord, build_cost_table, check_register,
-                   mixer_backend, run, usable_cores)
+from .qaoa import (CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory,
+                   check_register, mixer_backend, run, usable_cores)
+from .reformulate import ROUTES
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
 
@@ -63,11 +64,17 @@ CSV_COLUMNS = [
     "classification",
     "wall_ms",
 ]
+# Bytes each run's row holds until run_experiment returns. Over a call on A
+# or C pubo with master seed 10^6, tracemalloc's traced memory grew by
+# 711-715 bytes per run at 1,000 runs (929-1,008 at 200, where the call's
+# fixed costs weigh more); rounded up. A cell's run records come on top, so
+# an estimate from it is a lower bound.
+BYTES_PER_ROW = 720
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     instances: tuple[str, ...] = BUILTIN_NAMES
-    formulations: tuple[str, ...] = ("pubo", "qubo")
+    formulations: tuple[str, ...] = ROUTES
     runs: int = 100
     master_seed: int = 0
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)
@@ -82,9 +89,8 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
-        bad = set(self.formulations) - {"pubo", "qubo"}
-        if bad or not self.formulations:
-            raise ValueError(f"formulations must be a nonempty subset of pubo/qubo, got {self.formulations}")
+        if not self.formulations or not set(self.formulations) <= set(ROUTES):
+            raise ValueError(f"formulations must be a nonempty subset of {ROUTES}, got {self.formulations}")
 
 
 @dataclass(frozen=True)
@@ -173,11 +179,6 @@ def _pool_run(seed: int) -> RunRecord:
     return run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
 
 
-def _cell_processes(cfg: ExperimentConfig) -> int:
-    """Processes that run each cell: a cell of one run runs in this process."""
-    return 1 if cfg.runs == 1 else cfg.threads
-
-
 def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], processes: int) -> list[RunRecord]:
     """All runs of one cell, in run-index order regardless of scheduling
     (the pool's map yields results in input order)."""
@@ -192,11 +193,14 @@ def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], processe
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:
     """Execute every (instance, formulation) cell; return CSV rows and summaries.
 
-    Every cell is encoded and its register checked, for the processes that
-    will run it and the shots of one evaluation, before the first brute
-    force, and every instance is brute-forced before the first run.
+    The rows of every run are checked against physical memory, and every
+    cell is encoded and its register checked, for the processes that will
+    run it and the shots of one evaluation, before the first brute force;
+    every instance is brute-forced before the first run.
     """
-    processes = _cell_processes(cfg)
+    check_memory(cfg.runs * len(cfg.instances) * len(cfg.formulations) * BYTES_PER_ROW,
+                 f"the rows of {cfg.runs} runs per cell", f"{BYTES_PER_ROW} bytes per row")
+    processes = 1 if cfg.runs == 1 else cfg.threads  # a cell of one run runs in this process
     encoded = []
     for ref in cfg.instances:
         inst = load_instance(ref)
@@ -313,7 +317,7 @@ def verify(ref: str) -> list[tuple[str, bool, str]]:
     acceptance tests, so they are not repeated here.
     """
     inst = load_instance(ref)
-    encs = [encode(inst, formulation) for formulation in ("pubo", "qubo")]
+    encs = [encode(inst, formulation) for formulation in ROUTES]
     for enc in encs:
         check_register(enc.qubit_count)
     checks: list[tuple[str, bool, str]] = []
@@ -380,12 +384,6 @@ def worker_count(requested: int | None = None) -> int:
     return threads
 
 
-def _formulations(arg: str) -> tuple[str, ...]:
-    if arg == "both":
-        return ("pubo", "qubo")
-    return (arg,)
-
-
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     enc = encode(inst, args.formulation, args.lambda_uni, args.lambda_capa)
@@ -404,7 +402,7 @@ def _cmd_solve(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = ExperimentConfig(
         instances=tuple(args.instance) if args.instance else BUILTIN_NAMES,
-        formulations=_formulations(args.formulation),
+        formulations=ROUTES if args.formulation == "both" else (args.formulation,),
         runs=args.runs,
         master_seed=args.seed,
         qaoa=_qaoa_config(args),
@@ -462,10 +460,11 @@ def _add_common(parser: argparse.ArgumentParser, multi_instance: bool) -> None:
 
 
 def _add_qaoa_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shots", type=int, default=10, help="samples per evaluation (default 10)")
-    parser.add_argument("--depth", type=int, default=1, help="QAOA depth p (default 1)")
-    parser.add_argument("--max-evals", type=int, default=500,
-                        help="optimizer evaluation cap (default 500)")
+    parser.add_argument("--shots", type=int, default=QaoaConfig.n_shots,
+                        help="samples per evaluation (default %(default)s)")
+    parser.add_argument("--depth", type=int, default=QaoaConfig.depth, help="QAOA depth p (default %(default)s)")
+    parser.add_argument("--max-evals", type=int, default=QaoaConfig.max_evals,
+                        help="optimizer evaluation cap (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,17 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="one QAOA run on one instance")
     _add_common(p_solve, multi_instance=False)
-    p_solve.add_argument("--formulation", choices=["pubo", "qubo"], default="pubo")
+    p_solve.add_argument("--formulation", choices=ROUTES, default="pubo")
     p_solve.add_argument("--seed", type=int, default=0)
     _add_qaoa_flags(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exp = sub.add_parser("experiment", help="batch runs with CSV/JSON output")
     _add_common(p_exp, multi_instance=True)
-    p_exp.add_argument("--formulation", choices=["pubo", "qubo", "both"], default="both")
-    p_exp.add_argument("--runs", type=int, default=100, help="runs per cell (default 100)")
-    p_exp.add_argument("--seed", type=int, default=0,
-                       help="master seed; run i uses seed master+i (default 0)")
+    p_exp.add_argument("--formulation", choices=[*ROUTES, "both"], default="both")
+    p_exp.add_argument("--runs", type=int, default=ExperimentConfig.runs,
+                       help="runs per cell (default %(default)s)")
+    p_exp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
+                       help="master seed; run i uses seed master+i (default %(default)s)")
     _add_qaoa_flags(p_exp)
     p_exp.add_argument("--out", default="experiment",
                        help="output prefix; writes <out>.csv and <out>.summary.json")
@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp2 = sub.add_parser("export", help="write an assembled polynomial as JSON")
     _add_common(p_exp2, multi_instance=False)
-    p_exp2.add_argument("--formulation", choices=["pubo", "qubo"], required=True)
+    p_exp2.add_argument("--formulation", choices=ROUTES, required=True)
     p_exp2.add_argument("--out", default=None, help="output file (default: stdout)")
     p_exp2.set_defaults(func=_cmd_export)
 

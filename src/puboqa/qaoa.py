@@ -168,15 +168,19 @@ def check_register(num_qubits: int, processes: int = 1, shots: int = 0) -> None:
     """
     if num_qubits > QUBIT_CAP:
         raise ValueError(f"{num_qubits} qubits exceeds the {QUBIT_CAP}-qubit cap")
-    need = processes * ((BYTES_PER_STATE << num_qubits) + BYTES_PER_SHOT * shots)
+    per_shot = f", {BYTES_PER_SHOT} per shot of {shots} shots" if shots else ""
+    check_memory(processes * ((BYTES_PER_STATE << num_qubits) + BYTES_PER_SHOT * shots),
+                 f"{num_qubits} qubits x {processes} process(es)",
+                 f"{BYTES_PER_STATE} bytes per basis state{per_shot} each")
+
+
+def check_memory(need: int, what: str, rate: str) -> None:
+    """Refuse `what`, estimated at `need` bytes (at `rate`), if that is more
+    than the machine's physical memory; where that cannot be read, pass."""
     have = _physical_memory()
     if have is not None and need > have:
-        per_shot = f", {BYTES_PER_SHOT} per shot of {shots} shots" if shots else ""
-        raise ValueError(
-            f"{num_qubits} qubits x {processes} process(es) need an estimated "
-            f"{need / 2**30:.2f} GiB ({BYTES_PER_STATE} bytes per basis state{per_shot} each), "
-            f"more than the {have / 2**30:.2f} GiB of physical memory"
-        )
+        raise ValueError(f"{what} need an estimated {need / 2**30:.2f} GiB ({rate}), "
+                         f"more than the {have / 2**30:.2f} GiB of physical memory")
 
 
 def _physical_memory() -> int | None:

@@ -42,14 +42,17 @@ from .pbf import Monomial, Polynomial, VarId, _normalize_key
 
 # A threshold penalty over g variables has about 2^g monomials, and a gated
 # one about 2^(g+1). The cap refuses them before they are expanded: a PUBO
-# encode of one train serving 20 groups peaks at 1000 MiB under tracemalloc
-# on 64-bit CPython 3.11 (about 500 bytes per term), and each further
+# encode of one train serving 20 groups (cmax 1, 2,097,151 terms) peaks at
+# 600 MiB under tracemalloc on 64-bit CPython 3.11, about 300 bytes per term
+# (672 MiB if the open-gate threshold is expanded as well), and each further
 # variable doubles that. compile_problem also refuses a pubo compile whose
 # threshold penalties together would write more than 2^(cap + 1) terms, as
 # many as one gated penalty at the cap: the penalties all stay alive until
 # they are composed, so their peaks add up.
 MAX_SYMMETRIC_VARS = 20
 PRODUCT_CAP = 20
+# The encoding routes compile_problem takes.
+ROUTES = ("pubo", "qubo")
 
 
 def check_weight(lam: float) -> None:
@@ -315,8 +318,8 @@ def compile_problem(
     (empty on the pubo route). Integer programs go through model.binarize
     first.
     """
-    if route not in ("pubo", "qubo"):
-        raise ValueError(f"unknown formulation {route!r}; choose pubo or qubo")
+    if route not in ROUTES:
+        raise ValueError(f"unknown formulation {route!r}; choose {' or '.join(ROUTES)}")
     if not problem.is_binary():
         raise ValueError("compile_problem needs a binary problem; binarize it first")
     readings = [_read(con) for con in problem.constraints] if route == "pubo" else []
@@ -397,14 +400,14 @@ def _gated_le_penalty(ys: Sequence[VarId], gate: VarId, b: int, g: int) -> Polyn
     """(1 - gate) * le_penalty(ys, b) + gate * le_penalty(ys, b + g).
 
     Written out term by term: each monomial m of the closed-gate penalty
-    keeps its coefficient, and m with the gate gets the open-gate
-    coefficient minus the closed one. The open-gate penalty has no monomial
-    the closed one lacks.
+    keeps its coefficient, and m with the gate gets the open-gate weight of
+    its degree minus the closed coefficient. The open-gate penalty has no
+    monomial the closed one lacks, so only its weight table is read.
     """
     closed = le_penalty(ys, b).terms
-    opened = le_penalty(ys, b + g).terms
+    opened = _le_weights(ys, b + g)
     acc = dict(closed)
     for mono, coeff in closed.items():
         i = bisect_left(mono, gate)
-        acc[mono[:i] + (gate,) + mono[i:]] = opened.get(mono, 0.0) - coeff
+        acc[mono[:i] + (gate,) + mono[i:]] = opened.get(len(mono), 0.0) - coeff
     return Polynomial._from_normalized(acc)

@@ -41,7 +41,7 @@ from puboqa.harness import (
     blas_core,
     build_parser,
 )
-from puboqa import harness, qaoa
+from puboqa import harness, qaoa, reformulate
 from puboqa.pbf import Polynomial
 from puboqa.qaoa import BYTES_PER_STATE, QaoaConfig
 from puboqa.reformulate import MAX_SYMMETRIC_VARS
@@ -492,10 +492,11 @@ class TestCli:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(obj))
         started = time.perf_counter()
-        assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
-        assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
-        assert main(["verify", "--instance", str(path)]) == 2
-        assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
+        with mock.patch.object(reformulate, "_expand", side_effect=AssertionError("expanded")):
+            assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
+            assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
+            assert main(["verify", "--instance", str(path)]) == 2
+            assert f"{MAX_SYMMETRIC_VARS}-variable cap" in capsys.readouterr().err
         assert time.perf_counter() - started < 30.0
 
     def test_encode_wide_term_budget(self, tmp_path, capsys):
@@ -507,7 +508,8 @@ class TestCli:
         path = tmp_path / "two-wide.json"
         path.write_text(json.dumps(obj))
         started = time.perf_counter()
-        assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
+        with mock.patch.object(reformulate, "_expand", side_effect=AssertionError("expanded")):
+            assert main(["export", "--instance", str(path), "--formulation", "pubo"]) == 2
         assert "terms, more than the 2^21" in capsys.readouterr().err
         assert time.perf_counter() - started < 30.0
 
@@ -626,6 +628,20 @@ class TestCli:
                 mock.patch.object(qaoa, "evolve", side_effect=AssertionError("evolve ran")):
             assert main([*argv, "--shots", "100000000"]) == 2
         assert "per shot of 100000000 shots" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_oversize_run_count_refused_before_brute_force(self, monkeypatch, tmp_path, capsys):
+        # 1 GiB holds A's register, and the rows of as many runs as fit at
+        # BYTES_PER_ROW bytes each, but not one run more. No row may be built.
+        monkeypatch.setattr(qaoa, "_physical_memory", lambda: 1 << 30)
+        fit = (1 << 30) // harness.BYTES_PER_ROW
+        argv = ["experiment", "--instance", "A", "--formulation", "pubo", "--threads", "1",
+                "--out", str(tmp_path / "x")]
+        with mock.patch.object(harness, "brute_force", side_effect=AssertionError("brute force ran")):
+            assert main([*argv, "--runs", str(fit + 1)]) == 2
+            assert f"the rows of {fit + 1} runs per cell need" in capsys.readouterr().err
+            with pytest.raises(AssertionError, match="brute force ran"):
+                main([*argv, "--runs", str(fit)])
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["solve", "experiment"])

@@ -43,9 +43,9 @@ def test_tracer_installs_over_the_loaded_program(tmp_path):
     assert qaoa.evolve is original
 
 
-def test_every_threshold_constraint_is_traced(tmp_path, monkeypatch):
-    # The benchmark's reformulate.threshold span covers threshold expansion
-    # only while each one runs inside a module-level le/ge/eq_penalty call.
+def traced_pubo_encode_of_c(tmp_path, monkeypatch):
+    """C's declared constraints, the tracing module and the spans of a pubo
+    encode of C, each threshold expansion traced as an "expand" span."""
     from puboqa import reformulate
     from puboqa.extbp import builtin_instance, declare, encode
 
@@ -60,8 +60,22 @@ def test_every_threshold_constraint_is_traced(tmp_path, monkeypatch):
         encode(inst, "pubo")
     finally:
         tracer.remove()
-    spans = tracer.collect()
+    return constraints, tracing, tracer.collect()
+
+
+def test_every_threshold_constraint_is_traced(tmp_path, monkeypatch):
+    # The benchmark's reformulate.threshold span covers threshold expansion
+    # only while each one runs inside a module-level le/ge/eq_penalty call.
+    constraints, tracing, spans = traced_pubo_encode_of_c(tmp_path, monkeypatch)
     assert len(tracing.outermost(spans, "reformulate.threshold")) >= len(constraints)
     expansions = [s for s in spans if s["name"] == "expand"]
     assert expansions
     assert all(s["parent_name"] == "reformulate.threshold" for s in expansions)
+
+
+def test_each_constraint_expands_once(tmp_path, monkeypatch):
+    # A gated capacity penalty reads its open-gate coefficients from the
+    # weight table, so it expands only its closed-gate threshold.
+    constraints, _, spans = traced_pubo_encode_of_c(tmp_path, monkeypatch)
+    assert len(constraints) == 6
+    assert sum(s["name"] == "expand" for s in spans) == len(constraints)

@@ -1,4 +1,5 @@
-/* One QAOA layer applied in place to a complex128 statevector.
+/* The compiled kernel of puboqa's simulator: one QAOA layer applied in place
+ * to a complex128 statevector, and the subset-sum passes of a cost table.
  *
  * puboqa_layer(psi, n, phase, inv, first, c, s, totals, threads) sets
  * amplitude z to phase[inv[z]] (first != 0) or multiplies it by
@@ -28,10 +29,23 @@
  * above) also sets totals[k] to the sum of |psi[z]|^2 over the k-th slab of
  * 2^8 amplitudes. Its order of additions is fixed, but not that of a
  * sequential sum. Returns 0, or -1 if the planes cannot be allocated.
+ *
+ * puboqa_table(values, n) makes pass k = 0, 1, ..., n-1 over the 2^n
+ * doubles of a cost table in place: each entry with bit k clear is added
+ * onto its partner with bit k set. Every entry then receives the same
+ * additions in the same order as from one pass at a time over the whole
+ * table, so the result is bit for bit that of qaoa._subset_sum_passes, for
+ * any values. The passes below 16 run on blocks of 2^16 entries, the first
+ * three as one step on each 8 entries and the rest three at a time. The
+ * passes above run in groups of up to 6, on slabs of 2^8 entries copied
+ * from each of a group's rows, as the second sweep of a layer groups its
+ * qubits; so each entry crosses memory once per group. Returns 0, or -1 if
+ * the slab buffer cannot be allocated.
  */
 #include <pthread.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define CHUNK_QUBITS 13
 #define SLAB_QUBITS 8
@@ -39,6 +53,12 @@
 /* Running sums of a slab total, added together in lane order at the end. */
 #define LANES 8
 #define INLINE static inline __attribute__((always_inline))
+/* The cost table's low passes run on blocks of 2^16 entries (512 KiB); each
+ * later group of up to 6 passes on slabs of 2^8 entries from each of its 2^6
+ * rows (128 KiB). */
+#define TABLE_BLOCK_QUBITS 16
+#define TABLE_GROUP_QUBITS 6
+#define TABLE_SLAB_QUBITS 8
 
 /* (a, b) <- (c a - i s b, c b - i s a) on real and imaginary parts. */
 #define ROTATE(ar, ai, br, bi) do { \
@@ -261,5 +281,102 @@ int puboqa_layer(double *psi, int n, const double *phase, const intptr_t *inv,
         share_out(&mine, &theirs, threads, size >> (g + SLAB_QUBITS));
     }
     free(re);
+    return 0;
+}
+
+/* Subset-sum passes on rows of count entries, step elements apart: one pass
+ * on rows (0, 1); two on four rows; three on eight. Each pass adds every
+ * row whose index has its bit clear onto the row with that bit set, the
+ * lowest bit first. */
+INLINE void sum2(double *restrict r0, double *restrict r1, size_t count, size_t step)
+{
+    for (size_t j = 0; j < count * step; j += step)
+        r1[j] += r0[j];
+}
+
+INLINE void sum4(double *restrict r0, double *restrict r1, double *restrict r2, double *restrict r3,
+                 size_t count, size_t step)
+{
+    for (size_t j = 0; j < count * step; j += step) {
+        double a0 = r0[j], a1 = r1[j], a2 = r2[j], a3 = r3[j];
+        a1 += a0; a3 += a2;
+        a2 += a0; a3 += a1;
+        r1[j] = a1; r2[j] = a2; r3[j] = a3;
+    }
+}
+
+INLINE void sum8(double *restrict r0, double *restrict r1, double *restrict r2, double *restrict r3,
+                 double *restrict r4, double *restrict r5, double *restrict r6, double *restrict r7,
+                 size_t count, size_t step)
+{
+    for (size_t j = 0; j < count * step; j += step) {
+        double a0 = r0[j], a1 = r1[j], a2 = r2[j], a3 = r3[j];
+        double a4 = r4[j], a5 = r5[j], a6 = r6[j], a7 = r7[j];
+        a1 += a0; a3 += a2; a5 += a4; a7 += a6;
+        a2 += a0; a3 += a1; a6 += a4; a7 += a5;
+        a4 += a0; a5 += a1; a6 += a2; a7 += a3;
+        r1[j] = a1; r2[j] = a2; r3[j] = a3;
+        r4[j] = a4; r5[j] = a5; r6[j] = a6; r7[j] = a7;
+    }
+}
+
+/* k passes on 2^k rows that start h apart at v. */
+INLINE void sums(double *v, size_t h, size_t count, size_t step, int k)
+{
+    if (k == 1)
+        sum2(v, v + h, count, step);
+    else if (k == 2)
+        sum4(v, v + h, v + 2 * h, v + 3 * h, count, step);
+    else
+        sum8(v, v + h, v + 2 * h, v + 3 * h, v + 4 * h, v + 5 * h, v + 6 * h, v + 7 * h, count, step);
+}
+
+/* count passes over len entries, the first pairing entries h apart: three
+ * at a time, then what is left. At h = 1 one strided step takes every row
+ * of 2^k entries. */
+INLINE void passes(double *v, size_t len, size_t h, int count)
+{
+    while (count > 0) {
+        int k = count < 3 ? count : 3;
+        size_t span = h << k;
+        if (h == 1)
+            sums(v, 1, len / span, span, k);
+        else
+            for (size_t base = 0; base < len; base += span)
+                sums(v + base, h, h, 1, k);
+        count -= k;
+        h = span;
+    }
+}
+
+/* Vectorized with AVX2 where the machine has it; sums round the same either way. */
+__attribute__((target_clones("avx2", "default")))
+int puboqa_table(double *values, int n)
+{
+    int low = n < TABLE_BLOCK_QUBITS ? n : TABLE_BLOCK_QUBITS;
+    size_t size = (size_t)1 << n, block = (size_t)1 << low;
+    for (size_t o = 0; o < size; o += block)
+        passes(values + o, block, 1, low);
+    if (n == low)
+        return 0;
+    size_t slab = (size_t)1 << TABLE_SLAB_QUBITS;
+    double *buf = malloc(sizeof(double) * (slab << TABLE_GROUP_QUBITS));
+    if (buf == NULL)
+        return -1;
+    /* Rows 2^lo entries apart share cache sets, so each slab is copied. */
+    for (int lo = low; lo < n; lo += TABLE_GROUP_QUBITS) {
+        int g = n - lo < TABLE_GROUP_QUBITS ? n - lo : TABLE_GROUP_QUBITS;
+        size_t rows = (size_t)1 << g, stride = (size_t)1 << lo;
+        for (size_t outer = 0; outer < size; outer += rows * stride)
+            for (size_t col = 0; col < stride; col += slab) {
+                double *x = values + outer + col;
+                for (size_t r = 0; r < rows; r++)
+                    memcpy(buf + r * slab, x + r * stride, sizeof(double) * slab);
+                passes(buf, rows * slab, slab, g);
+                for (size_t r = 0; r < rows; r++)
+                    memcpy(x + r * stride, buf + r * slab, sizeof(double) * slab);
+            }
+    }
+    free(buf);
     return 0;
 }

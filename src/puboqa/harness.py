@@ -212,6 +212,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], li
     for inst, encs in encoded:
         optimum, _ = brute_force(inst)
         cells += [(inst, optimum, enc) for enc in encs]
+    # COBYLA's import, before any cell's clock starts; forked pool workers inherit it.
+    qaoa._minimize()
     rows: list[dict] = []
     summaries: list[SummaryRow] = []
     for inst, optimum, enc in cells:

@@ -2,33 +2,37 @@
 
 The cost operator is diagonal, so it is applied as per-amplitude phases: the
 phase of each distinct table value is computed once and gathered through the
-table's inverse index. The mixer is the product of single-qubit rotations
+table's inverse index. The table itself is built once per cell: one
+subset-sum pass per qubit over the coefficients written at their bitmasks.
+The mixer is the product of single-qubit rotations
 [[cos b, -i sin b], [-i sin b, cos b]], and is the dominant cost at high
 qubit counts. A run allocates its statevector once, as a workspace, and
 every evaluation prepares its state in it.
 
 Each layer runs in a compiled kernel, _mixer.c, built with the local gcc on
-the first evolve of a process and loaded with ctypes. It works in place on
-one statevector: one sweep over cache-sized chunks writes or multiplies the
-phases and rotates the low qubits, a second sweep rotates the high qubits
-on copied slabs, each qubit as real butterflies on split planes of real
-and imaginary parts. While it writes out the last layer, the kernel also
-sums the probability of each slab of 2^8 amplitudes, the blocks of the
-sampler's two-level search. From 2^16 amplitudes (_THREADED_QUBITS) a
-helper thread takes half of each sweep, where the process may use two
-cores; pool workers run the kernel on one thread, since their processes
-already fill the cores. Every chunk and slab is computed the same way on
-whichever thread takes it, so the bits do not depend on the thread count.
-The build is cached in the package's
+the first cost table or evolve of a process and loaded with ctypes. The
+same kernel makes each cost table's subset-sum passes, with numpy's bits.
+A layer works in place on one statevector: one sweep over cache-sized
+chunks writes or multiplies the phases and rotates the low qubits, a second
+sweep rotates the high qubits on copied slabs, each qubit as real
+butterflies on split planes of real and imaginary parts. While it writes
+out the last layer, the kernel also sums the probability of each slab of
+2^8 amplitudes, the blocks of the sampler's two-level search. From 2^16
+amplitudes (_THREADED_QUBITS) a helper thread takes half of each sweep of a
+layer, where the process may use two cores; pool workers run the kernel on
+one thread, since their processes already fill the cores. Every chunk and
+slab is computed the same way on whichever thread takes it, so the bits do
+not depend on the thread count. The build is cached in the package's
 __pycache__ (or, where that is not writable, in a private temporary
 directory), named by the sha256 of the source, the flags and the gcc
 version. The flags never include -march=native or FMA: every rotation is
 then the same multiplies and adds on every x86-64 machine, whichever of the
 avx2 and default clones runs, and no BLAS is involved. Without gcc, or if
-the build or the load fails, evolve takes the numpy path instead, which
-also works in place, chunk by chunk: blocks of four qubits, each one 16x16
-matrix product (the topmost block covers the n mod 4 qubits left over).
-The two paths agree to rounding, not bit for bit.
+the build or the load fails, the table passes run in numpy
+(_subset_sum_passes), with the same bits, and evolve takes the numpy path,
+which also works in place, chunk by chunk: blocks of four qubits, each one
+16x16 matrix product (the topmost block covers the n mod 4 qubits left
+over). The two evolve paths agree to rounding, not bit for bit.
 
 Shots are drawn by inverse CDF. On large states a two-level search takes
 the probability of each block of amplitudes (summed by the kernel, or in
@@ -39,10 +43,12 @@ its rounding error of a CDF value.
 
 Training follows the shot protocol: every optimizer evaluation prepares the
 state for the current parameters, samples a handful of basis states, and
-feeds their mean cost to COBYLA. The best state of a run is the sampled
-basis state with the smallest cost-table value across all evaluations, ties
-going to the earliest. All randomness comes from one numpy Generator seeded
-per run, so records replay bit-identically.
+feeds their mean cost to scipy's COBYLA, which the first run of a process
+imports before its clock starts; a process that only compiles never loads
+it. The best state of a run is the sampled basis state with the smallest
+cost-table value across all evaluations, ties going to the earliest. All
+randomness comes from one numpy Generator seeded per run, so records replay
+bit-identically.
 
 Basis-state convention: qubit k is bit k of the state index (little-endian).
 """
@@ -62,7 +68,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .pbf import OPTIMUM_TOL, Polynomial
 
@@ -80,7 +85,8 @@ BYTES_PER_STATE = 73
 # 2 * 10^5 shots reads at most 41.6 bytes per shot above that of one shot;
 # rounded up.
 BYTES_PER_SHOT = 42
-# The cost table's passes over the low qubits run on blocks of 2^16 entries (512 KiB).
+# Without the kernel, the cost table's passes over the low qubits run on
+# blocks of 2^16 entries (512 KiB).
 _TABLE_BLOCK_QUBITS = 16
 
 
@@ -135,11 +141,15 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
 
     Each monomial's coefficient is written at its bitmask index (the constant
     at index 0), then one subset-sum pass per qubit turns entry z into the sum
-    of c_S over all monomials S within z. The passes over the low qubits run
-    block by block, so each block stays in cache. The table is exact when
-    every partial sum is representable, as with integer and dyadic
-    coefficients of moderate size; otherwise it equals pointwise evaluation
-    up to rounding.
+    of c_S over all monomials S within z. The compiled kernel (puboqa_table
+    of _mixer.c) makes the passes on one thread, in cache-sized blocks and
+    groups; so the first table of a process loads the kernel, and builds it
+    if it is not cached. Without it, _subset_sum_passes makes them in numpy,
+    the low qubits block by block. Both add the same terms to each entry in
+    the same order, so their tables are bit-identical for any coefficients.
+    The table is exact when every partial sum is representable, as with
+    integer and dyadic coefficients of moderate size; otherwise it equals
+    pointwise evaluation up to rounding.
     """
     check_register(num_qubits)
     vars_used = poly.variables()
@@ -151,10 +161,14 @@ def build_cost_table(poly: Polynomial, num_qubits: int) -> CostTable:
     values = np.zeros(1 << num_qubits)
     masks = np.fromiter((sum(1 << v for v in mono) for mono in terms), np.int64, len(terms))
     values[masks] = np.fromiter(terms.values(), np.float64, len(terms))
-    low = min(num_qubits, _TABLE_BLOCK_QUBITS)
-    for block in values.reshape(-1, 1 << low):
-        _subset_sum_passes(block, range(low))
-    _subset_sum_passes(values, range(low, num_qubits))
+    kernel = _layer_kernel()
+    if kernel is None:
+        low = min(num_qubits, _TABLE_BLOCK_QUBITS)
+        for block in values.reshape(-1, 1 << low):
+            _subset_sum_passes(block, range(low))
+        _subset_sum_passes(values, range(low, num_qubits))
+    elif kernel.puboqa_table(values.ctypes.data, num_qubits):
+        raise MemoryError("the table kernel could not allocate its slab buffer")
     return CostTable(num_qubits, values)
 
 
@@ -407,7 +421,7 @@ _kernel = _UNLOADED
 
 
 def mixer_backend() -> str:
-    """Which path evolve takes: "compiled" (the layer kernel) or "numpy"."""
+    """Which path evolve and build_cost_table take: "compiled" (the kernel) or "numpy"."""
     return "numpy" if _layer_kernel() is None else "compiled"
 
 
@@ -471,6 +485,8 @@ def _bind(path: Path) -> ctypes.CDLL:
     lib.puboqa_layer.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
                                  ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
                                  ctypes.c_int)
+    lib.puboqa_table.restype = ctypes.c_int
+    lib.puboqa_table.argtypes = (ctypes.c_void_p, ctypes.c_int)
     return lib
 
 
@@ -588,6 +604,14 @@ def estimate_loss(samples: np.ndarray, table: CostTable) -> float:
     return float(np.mean(table.values[samples]))
 
 
+def _minimize():
+    """scipy's minimize, imported on first use: only a run that trains needs
+    it, and the import takes about 0.4 s once per process."""
+    from scipy.optimize import minimize
+
+    return minimize
+
+
 def optimize(loss_fn, theta0, config: QaoaConfig):
     """COBYLA descent from theta0, tracing every evaluation.
 
@@ -604,7 +628,7 @@ def optimize(loss_fn, theta0, config: QaoaConfig):
         trace.append((np.array(theta, dtype=float), value))
         return value
 
-    result = minimize(
+    result = _minimize()(
         wrapped,
         np.asarray(theta0, dtype=float),
         method="COBYLA",
@@ -633,6 +657,7 @@ def run(table: CostTable, config: QaoaConfig = QaoaConfig(), seed: int | None = 
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_register(table.num_qubits, shots=config.n_shots)
+    _minimize()  # before the clock starts, so that no wall_ms holds its import
 
     started = time.perf_counter()
     rng = np.random.default_rng(seed)

@@ -405,6 +405,20 @@ class TestCli:
         assert header == "verifying A"
         assert len(lines) == 6 and all(line.startswith("PASS  ") for line in lines)
 
+    def test_verify_does_not_import_the_optimizer(self, tmp_path):
+        # scipy.optimize takes about 0.4 s to import; only a run that trains needs it.
+        code = ("import sys\n"
+                "from puboqa.harness import main\n"
+                "assert main(['verify', '--instance', 'A']) == 0\n"
+                "print('scipy.optimize' in sys.modules)\n")
+        src = str(Path(puboqa.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_unknown_instance_exits_2(self, capsys):
         code = main(["solve", "--instance", "Z", "--max-evals", "5"])
         assert code == 2

@@ -77,22 +77,30 @@ DYADIC = st.one_of(
 ANY_FLOAT = st.floats(-100, 100, allow_nan=False).filter(lambda c: abs(c) >= COEFF_EPS)
 
 
+def check_exact_coefficients(case):
+    n, poly = case
+    got = build_cost_table(poly, n).values
+    assert got.tobytes() == accumulate_per_monomial(poly, n).tobytes()
+
+
+def check_float_coefficients(case):
+    n, poly = case
+    values = build_cost_table(poly, n).values
+    for z in range(1 << n):
+        want = poly.evaluate([(z >> k) & 1 for k in range(n)])
+        assert values[z] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestCostTable:
     @settings(deadline=None, max_examples=60)
     @given(sized_polys(DYADIC, 12))
     def test_exact_coefficients_bit_identical_to_per_monomial_sum(self, case):
-        n, poly = case
-        got = build_cost_table(poly, n).values
-        assert got.tobytes() == accumulate_per_monomial(poly, n).tobytes()
+        check_exact_coefficients(case)
 
     @settings(deadline=None, max_examples=25)
     @given(sized_polys(ANY_FLOAT, 9))
     def test_float_coefficients_match_evaluation(self, case):
-        n, poly = case
-        values = build_cost_table(poly, n).values
-        for z in range(1 << n):
-            want = poly.evaluate([(z >> k) & 1 for k in range(n)])
-            assert values[z] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        check_float_coefficients(case)
 
     def test_blocked_passes_at_many_blocks(self):
         # 18 qubits: four blocks of the low-qubit passes, then two more passes.
@@ -149,6 +157,97 @@ class TestCostTable:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="expected"):
             CostTable(2, np.zeros(3))
+
+
+class TestCostTableNumpy(TestCostTable):
+    """Every TestCostTable test again, with the passes in numpy."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_passes(self, monkeypatch):
+        monkeypatch.setattr(qaoa, "_kernel", None)
+
+    # hypothesis runs a property test for one class only, so these two are
+    # declared again.
+    @settings(deadline=None, max_examples=60)
+    @given(sized_polys(DYADIC, 12))
+    def test_exact_coefficients_bit_identical_to_per_monomial_sum(self, case):
+        check_exact_coefficients(case)
+
+    @settings(deadline=None, max_examples=25)
+    @given(sized_polys(ANY_FLOAT, 9))
+    def test_float_coefficients_match_evaluation(self, case):
+        check_float_coefficients(case)
+
+
+def coefficients(poly, n):
+    """Each coefficient at its monomial's bitmask, as build_cost_table writes them."""
+    values = np.zeros(1 << n)
+    for mono, coeff in poly.terms.items():
+        values[sum(1 << v for v in mono)] = coeff
+    return values
+
+
+def passes_oracle(values, n):
+    """values after _subset_sum_passes over qubits 0..n-1, unblocked."""
+    out = values.copy()
+    qaoa._subset_sum_passes(out, range(n))
+    return out
+
+
+class TestTableKernel:
+    """puboqa_table gives the bits of the numpy passes, for any coefficients."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C"])
+    @pytest.mark.parametrize("kind", ["pubo", "qubo"])
+    def test_builtin_tables_bit_identical(self, name, kind, compiled):
+        enc = encode(builtin_instance(name), kind)
+        got = build_cost_table(enc.poly, enc.qubit_count).values
+        want = passes_oracle(coefficients(enc.poly, enc.qubit_count), enc.qubit_count)
+        assert got.tobytes() == want.tobytes()
+
+    # 0-4 cover the 8-entry step and the passes short of it; 15 and 16 one
+    # block of low passes, less than whole and whole; 17 and 20 one group of
+    # later passes, of one and of four; 23 two groups.
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 15, 16, 17, 20, 23])
+    def test_random_coefficients_bit_identical(self, n, compiled):
+        rng = np.random.default_rng(40 + n)
+        dense = rng.normal(size=1 << n) * 10.0 ** rng.integers(-3, 4, size=1 << n)
+        got = dense.copy()
+        assert qaoa._layer_kernel().puboqa_table(got.ctypes.data, n) == 0
+        assert got.tobytes() == passes_oracle(dense, n).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 15, 16, 17, 20])
+    def test_random_polynomial_bit_identical(self, n, compiled):
+        rng = np.random.default_rng(n)
+        terms = {}
+        for _ in range(60):
+            mono = tuple(sorted(rng.choice(n, size=rng.integers(0, n + 1), replace=False).tolist()))
+            terms[mono] = float(rng.normal() / 3.0)
+        poly = Polynomial(terms)
+        got = build_cost_table(poly, n).values
+        assert got.tobytes() == passes_oracle(coefficients(poly, n), n).tobytes()
+
+    def test_kernel_makes_every_pass(self, compiled, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the numpy passes ran")
+
+        monkeypatch.setattr(qaoa, "_subset_sum_passes", fail)
+        for name in "ABC":
+            for kind in ("pubo", "qubo"):
+                enc = encode(builtin_instance(name), kind)
+                build_cost_table(enc.poly, enc.qubit_count)
+        build_cost_table(Polynomial.constant(0.1), 0)
+        for n in (1, 16, 17):
+            build_cost_table(V(n - 1) + 0.1, n)
+
+    def test_unvectorized_build_gives_the_same_table(self, tmp_path, compiled):
+        flags = (*qaoa._KERNEL_FLAGS, "-fno-tree-vectorize")
+        scalar = qaoa._bind(qaoa._build_kernel(shutil.which("gcc"), tmp_path, flags))
+        for n in (3, 5, 16, 17, 20):
+            dense = np.random.default_rng(n).normal(size=1 << n)
+            got = dense.copy()
+            assert scalar.puboqa_table(got.ctypes.data, n) == 0
+            assert got.tobytes() == passes_oracle(dense, n).tobytes()
 
 
 class TestMemoryBudget:
@@ -623,7 +722,7 @@ class TestLayerKernel:
         library = qaoa._build_kernel(gcc, tmp_path)
         listing = subprocess.run([objdump, "-d", str(library)], capture_output=True, text=True,
                                  check=True).stdout
-        assert "puboqa_layer" in listing
+        assert "puboqa_layer" in listing and "puboqa_table" in listing
         fused = re.findall(r"\bvfn?m(?:add|sub)\w*", listing)
         assert fused == []
 
@@ -636,6 +735,7 @@ class TestLayerKernel:
                                str(source), "-o", str(tmp_path / "mixer.so")],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+        qaoa._bind(tmp_path / "mixer.so")  # both entry points are there
 
     def test_without_a_compiler_numpy_takes_over(self, tmp_path):
         code = ("import numpy as np\n"

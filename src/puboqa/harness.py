@@ -4,10 +4,12 @@
 formulation) cell it builds the encoding with default penalty weights, runs
 QAOA `--runs` times with per-run seeds master_seed + run_index, classifies
 each run's best state after projecting away slack bits, and writes one CSV
-row per run plus a JSON summary of per-cell proportions. Rows are buffered
-and emitted in run-index order, so the output does not depend on worker
-scheduling; with a fixed master seed every column except wall_ms is
-byte-identical across reruns.
+row per run plus a JSON summary of per-cell proportions. A run is
+classified and made into its row in the process that ran it, a pool worker
+or this one (_Cell.row), so a cell holds only its rows; `solve` makes its
+one run the same way. Rows are buffered and emitted in run-index order, so
+the output does not depend on worker scheduling; with a fixed master seed
+every column except wall_ms is byte-identical across reruns.
 
 `verify` brute-forces an instance and cross-checks both encodings against
 it with six structural checks. `export` writes an assembled polynomial as a
@@ -27,6 +29,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,8 +48,8 @@ from .extbp import (
 )
 from .pbf import OPTIMUM_TOL
 from . import qaoa
-from .qaoa import (CostTable, QaoaConfig, RunRecord, build_cost_table, check_memory,
-                   check_register, mixer_backend, run, usable_cores)
+from .qaoa import (CostTable, QaoaConfig, build_cost_table, check_memory, check_register,
+                   mixer_backend, run, usable_cores)
 from .reformulate import ROUTES
 
 THREADS_ENV_VAR = "PUBOQA_THREADS"
@@ -64,12 +67,14 @@ CSV_COLUMNS = [
     "classification",
     "wall_ms",
 ]
-# Bytes each run's row holds until run_experiment returns. Over a call on A
-# or C pubo with master seed 10^6, tracemalloc's traced memory grew by
-# 711-715 bytes per run at 1,000 runs (929-1,008 at 200, where the call's
-# fixed costs weigh more); rounded up. A cell's run records come on top, so
-# an estimate from it is a lower bound.
-BYTES_PER_ROW = 720
+# Bytes each run holds until run_experiment returns. A run leaves only its
+# row in this process (see _Cell), so rows bound all that grows with the run
+# count. Over a call on A or C pubo with 1,000 runs, master seeds 0 and 10^6,
+# tracemalloc's traced peak grew by 693-740 bytes per run at 2 workers and
+# 919-1,230 at 1; rounded up. At 1 worker the runs made here also leave
+# 0.1-0.55 MB of numpy blocks and free-list objects that do not grow with the
+# run count, so the figure overstates large run counts.
+BYTES_PER_ROW = 1240
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -123,21 +128,78 @@ def load_instance(ref: str) -> EbpInstance:
 
 # experiment ------------------------------------------------------------------
 
-# Set in each pool worker by _pool_init; the parent process never reads it.
-_WORKER_CTX: dict = {}
+
+@dataclass(frozen=True)
+class _Cell:
+    """One (instance, formulation) cell of an experiment, ready to run.
+
+    row(i) is all of run i: it runs seed seed_for_run(master_seed, i),
+    classifies the best state against the brute-force optimum after
+    projecting away slack bits, and returns the run's CSV row. A RunRecord
+    therefore never leaves the process that ran it.
+    """
+
+    inst: EbpInstance
+    enc: Encoding
+    optimum: float
+    table: CostTable
+    qaoa: QaoaConfig
+    master_seed: int
+
+    def row(self, run_index: int) -> dict:
+        rec = run(self.table, self.qaoa, seed_for_run(self.master_seed, run_index))
+        label = classify(self.inst, self.enc.project(rec.best_state), self.optimum)
+        return dict(zip(CSV_COLUMNS, (
+            run_index, self.inst.name, self.enc.kind, rec.seed, rec.n_qubits, rec.n_iterations,
+            rec.n_sampled, rec.best_bits, rec.best_loss, label.value, rec.wall_ms)))
 
 
-def _pool_init(table: CostTable, qcfg: QaoaConfig) -> None:
-    """Worker start-up: keep the cell's table and config, pin BLAS and the
-    layer kernel to one thread each.
+def _cells(cfg: ExperimentConfig, processes: int):
+    """The cells of cfg, ready to run, each with its cost table built as it
+    is yielded.
 
-    The arguments reach the worker through the pool's initargs, so this works
+    The rows of every run are checked against physical memory, and every
+    cell is encoded and its register checked, for the processes that will
+    run it and the shots of one evaluation, before the first brute force;
+    every instance is brute-forced before the first cell is yielded.
+    """
+    check_memory(cfg.runs * len(cfg.instances) * len(cfg.formulations) * BYTES_PER_ROW,
+                 f"the rows of {cfg.runs} runs per cell", f"{BYTES_PER_ROW} bytes per row")
+    encoded = []
+    for ref in cfg.instances:
+        inst = load_instance(ref)
+        encs = [encode(inst, formulation, cfg.lam_uni, cfg.lam_capa) for formulation in cfg.formulations]
+        for enc in encs:
+            check_register(enc.qubit_count, processes, cfg.qaoa.n_shots)
+        encoded.append((inst, encs))
+    optima = [brute_force(inst)[0] for inst, _ in encoded]
+    # COBYLA's import, before any cell's clock starts; forked pool workers inherit it.
+    qaoa._minimize()
+    for (inst, encs), optimum in zip(encoded, optima):
+        for enc in encs:
+            table = build_cost_table(enc.poly, enc.qubit_count)
+            yield _Cell(inst, enc, optimum, table, cfg.qaoa, cfg.master_seed)
+
+
+# The cell of a pool worker, set by _pool_init; the parent process never reads it.
+_worker_cell: _Cell | None = None
+
+
+def _pool_init(cell: _Cell) -> None:
+    """Worker start-up: keep the cell, pin BLAS and the layer kernel to one
+    thread each.
+
+    The cell reaches the worker through the pool's initargs, so this works
     under every multiprocessing start method.
     """
-    _WORKER_CTX["table"] = table
-    _WORKER_CTX["config"] = qcfg
+    global _worker_cell
+    _worker_cell = cell
     _single_thread_blas()
     qaoa._kernel_threads = 1
+
+
+def _pool_row(run_index: int) -> dict:
+    return _worker_cell.row(run_index)
 
 
 def _single_thread_blas() -> None:
@@ -175,89 +237,48 @@ def _openblas_function(name: str):
     return None
 
 
-def _pool_run(seed: int) -> RunRecord:
-    return run(_WORKER_CTX["table"], _WORKER_CTX["config"], seed)
-
-
-def _execute_cell(table: CostTable, qcfg: QaoaConfig, seeds: list[int], processes: int) -> list[RunRecord]:
-    """All runs of one cell, in run-index order regardless of scheduling
-    (the pool's map yields results in input order)."""
+def _execute_cell(cell: _Cell, runs: int, processes: int) -> list[dict]:
+    """The rows of a cell's runs, in run-index order regardless of
+    scheduling (the pool's map yields results in input order)."""
     if processes <= 1:
-        return [run(table, qcfg, s) for s in seeds]
-    chunk = max(1, len(seeds) // (processes * 4))
+        return [cell.row(i) for i in range(runs)]
+    chunk = max(1, runs // (processes * 4))
     with ProcessPoolExecutor(max_workers=processes, initializer=_pool_init,
-                             initargs=(table, qcfg)) as pool:
-        return list(pool.map(_pool_run, seeds, chunksize=chunk))
+                             initargs=(cell,)) as pool:
+        return list(pool.map(_pool_row, range(runs), chunksize=chunk))
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> tuple[list[dict], list[SummaryRow]]:
     """Execute every (instance, formulation) cell; return CSV rows and summaries.
 
-    The rows of every run are checked against physical memory, and every
-    cell is encoded and its register checked, for the processes that will
-    run it and the shots of one evaluation, before the first brute force;
-    every instance is brute-forced before the first run.
+    No run starts before every check of _cells has passed. A cell keeps
+    only its rows: each run becomes its row in the process that ran it.
     """
-    check_memory(cfg.runs * len(cfg.instances) * len(cfg.formulations) * BYTES_PER_ROW,
-                 f"the rows of {cfg.runs} runs per cell", f"{BYTES_PER_ROW} bytes per row")
     processes = 1 if cfg.runs == 1 else cfg.threads  # a cell of one run runs in this process
-    encoded = []
-    for ref in cfg.instances:
-        inst = load_instance(ref)
-        encs = [encode(inst, formulation, cfg.lam_uni, cfg.lam_capa) for formulation in cfg.formulations]
-        for enc in encs:
-            check_register(enc.qubit_count, processes, cfg.qaoa.n_shots)
-        encoded.append((inst, encs))
-    cells = []
-    for inst, encs in encoded:
-        optimum, _ = brute_force(inst)
-        cells += [(inst, optimum, enc) for enc in encs]
-    # COBYLA's import, before any cell's clock starts; forked pool workers inherit it.
-    qaoa._minimize()
     rows: list[dict] = []
     summaries: list[SummaryRow] = []
-    for inst, optimum, enc in cells:
-        table = build_cost_table(enc.poly, enc.qubit_count)
-        seeds = [seed_for_run(cfg.master_seed, i) for i in range(cfg.runs)]
+    for cell in _cells(cfg, processes):
         cell_start = time.perf_counter()
-        records = _execute_cell(table, cfg.qaoa, seeds, processes)
+        cell_rows = _execute_cell(cell, cfg.runs, processes)
         cell_ms = (time.perf_counter() - cell_start) * 1000.0
-        counts = {c: 0 for c in Classification}
-        for i, rec in enumerate(records):
-            label = classify(inst, enc.project(rec.best_state), optimum)
-            counts[label] += 1
-            rows.append(
-                {
-                    "run_id": i,
-                    "instance": inst.name,
-                    "formulation": enc.kind,
-                    "seed": rec.seed,
-                    "n_qubits": rec.n_qubits,
-                    "n_iterations": rec.n_iterations,
-                    "n_evals": rec.n_sampled,
-                    "best_bits": rec.best_bits,
-                    "best_loss_unconstrained": rec.best_loss,
-                    "classification": label.value,
-                    "wall_ms": rec.wall_ms,
-                }
-            )
-        total = len(records)
+        counts = Counter(row["classification"] for row in cell_rows)
         summaries.append(
             SummaryRow(
-                instance=inst.name,
-                formulation=enc.kind,
-                qubit_count=enc.qubit_count,
-                prop_optimal=counts[Classification.OPTIMAL] / total,
-                prop_feasible_non_optimal=counts[Classification.FEASIBLE_NON_OPTIMAL] / total,
-                prop_infeasible=counts[Classification.INFEASIBLE] / total,
-                mean_iterations=sum(r.n_iterations for r in records) / total,
+                instance=cell.inst.name,
+                formulation=cell.enc.kind,
+                qubit_count=cell.enc.qubit_count,
+                prop_optimal=counts[Classification.OPTIMAL.value] / cfg.runs,
+                prop_feasible_non_optimal=counts[Classification.FEASIBLE_NON_OPTIMAL.value] / cfg.runs,
+                prop_infeasible=counts[Classification.INFEASIBLE.value] / cfg.runs,
+                mean_iterations=sum(row["n_iterations"] for row in cell_rows) / cfg.runs,
                 wall_ms=cell_ms,
             )
         )
+        rows += cell_rows
         if progress is not None:
             last = summaries[-1]
             progress(
-                f"{inst.name}/{enc.kind}: {enc.qubit_count} qubits, "
+                f"{cell.inst.name}/{cell.enc.kind}: {cell.enc.qubit_count} qubits, "
                 f"optimal {last.prop_optimal:.2f}, feasible {last.prop_feasible_non_optimal:.2f}, "
                 f"infeasible {last.prop_infeasible:.2f} ({cell_ms / 1000.0:.1f} s)"
             )
@@ -372,7 +393,8 @@ def worker_count(requested: int | None = None) -> int:
     """Worker processes for an experiment: requested (--threads), else
     $PUBOQA_THREADS, else the cores this process may run on.
 
-    A count below 1 raises ValueError naming where it came from.
+    A count below 1, or a $PUBOQA_THREADS that is not an integer, raises
+    ValueError naming where it came from.
     """
     if requested is not None:
         threads, source = requested, "--threads"
@@ -380,24 +402,26 @@ def worker_count(requested: int | None = None) -> int:
         env = os.environ.get(THREADS_ENV_VAR)
         if not env:
             return usable_cores()
-        threads, source = int(env), THREADS_ENV_VAR
+        try:
+            threads, source = int(env), THREADS_ENV_VAR
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if threads < 1:
         raise ValueError(f"{source} must be at least 1, got {threads}")
     return threads
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    enc = encode(inst, args.formulation, args.lambda_uni, args.lambda_capa)
-    table = build_cost_table(enc.poly, enc.qubit_count)
-    record = run(table, _qaoa_config(args), args.seed)
-    optimum, _ = brute_force(inst)
-    label = classify(inst, enc.project(record.best_state), optimum)
-    print(f"instance {inst.name} ({args.formulation}, {enc.qubit_count} qubits), seed {record.seed}")
-    print(f"best state {record.best_bits} with unconstrained loss {record.best_loss}")
-    print(f"classification: {label.value} (constrained optimum {optimum})")
-    print(f"{record.n_iterations} optimizer iterations, {record.n_sampled} sampled states, "
-          f"{record.wall_ms:.1f} ms")
+    cfg = ExperimentConfig(instances=(args.instance,), formulations=(args.formulation,), runs=1,
+                           master_seed=args.seed, qaoa=_qaoa_config(args),
+                           lam_uni=args.lambda_uni, lam_capa=args.lambda_capa)
+    (cell,) = _cells(cfg, processes=1)
+    row = cell.row(0)
+    print(f"instance {row['instance']} ({row['formulation']}, {row['n_qubits']} qubits), seed {row['seed']}")
+    print(f"best state {row['best_bits']} with unconstrained loss {row['best_loss_unconstrained']}")
+    print(f"classification: {row['classification']} (constrained optimum {cell.optimum})")
+    print(f"{row['n_iterations']} optimizer iterations, {row['n_evals']} sampled states, "
+          f"{row['wall_ms']:.1f} ms")
     return 0
 
 

@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import unicodedata
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,21 +227,56 @@ class TestPoolStartMethods:
     def test_workers_run_the_kernel_on_one_thread(self, monkeypatch):
         if qaoa.mixer_backend() != "compiled":
             pytest.skip("the layer kernel cannot be built here")
+        cfg = ExperimentConfig(instances=("B",), formulations=("qubo",), runs=1,
+                               qaoa=QaoaConfig(max_evals=4))
+        (cell,) = harness._cells(cfg, processes=1)
+        assert cell.table.num_qubits >= qaoa._THREADED_QUBITS
         spy = SpyKernel(qaoa._layer_kernel())
         monkeypatch.setattr(qaoa, "_kernel", spy)
         monkeypatch.setattr(qaoa, "_kernel_threads", 2)
-        monkeypatch.setattr(harness, "_WORKER_CTX", {})
+        monkeypatch.setattr(harness, "_worker_cell", None)
         monkeypatch.setattr(harness, "_single_thread_blas", lambda: None)
-        n = qaoa._THREADED_QUBITS
-        table = qaoa.CostTable(n, np.arange(1 << n, dtype=float) % 5)
-        cfg = QaoaConfig(max_evals=4)
-        serial = harness.run(table, cfg, 0)
+        serial = cell.row(0)
         assert set(spy.threads) == {2}
         spy.threads.clear()
-        harness._pool_init(table, cfg)
-        pooled = harness._pool_run(0)
+        harness._pool_init(cell)
+        pooled = harness._pool_row(0)
         assert set(spy.threads) == {1}
-        assert replace(pooled, wall_ms=0.0) == replace(serial, wall_ms=0.0)
+        assert pooled | {"wall_ms": 0.0} == serial | {"wall_ms": 0.0}
+
+
+class TestCellMemory:
+    """A cell holds its rows, never its run records: the parent's memory
+    grows by at most BYTES_PER_ROW per run, as run_experiment's check counts."""
+
+    RUNS = 20_000
+    # The call's fixed costs: encoding, brute force, the cost table and the pool.
+    ALLOWANCE = 1 << 20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_grows_by_rows_only(self, monkeypatch, threads):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched run reaches pool workers only by fork")
+        # A real A/pubo record with its whole trace (seed 7 makes about 21
+        # evaluations), unpickled anew for every run, so that a held record
+        # costs what a real one does.
+        enc = encode(builtin_instance("A"), "pubo")
+        blob = pickle.dumps(qaoa.run(qaoa.build_cost_table(enc.poly, enc.qubit_count), QaoaConfig(), 7))
+        monkeypatch.setattr(harness, "run",
+                            lambda table, config, seed: replace(pickle.loads(blob), seed=seed))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        cfg = ExperimentConfig(instances=("A",), formulations=("pubo",), runs=self.RUNS,
+                               threads=threads)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows, _ = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert [row["seed"] for row in rows] == list(range(self.RUNS))
+        assert peak <= self.RUNS * harness.BYTES_PER_ROW + self.ALLOWANCE
 
 
 class TestFileOutputs:
@@ -710,6 +748,15 @@ class TestThreadResolution:
         assert worker_count() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert worker_count() == 1
+
+    def test_env_variable_not_an_integer(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("PUBOQA_THREADS", "abc")
+        with pytest.raises(ValueError, match="PUBOQA_THREADS must be an integer, got 'abc'"):
+            worker_count(self.parse().threads)
+        argv = ["experiment", "--instance", "A", "--runs", "1", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "error: PUBOQA_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "flag,env",
